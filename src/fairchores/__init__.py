@@ -55,7 +55,6 @@ from .experiments import (
     RatioRecord,
     curve_samples,
     gen_synthetic,
-    ingest_csv,
     instance_ratio,
     run_histogram,
 )

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .allocator import allocate
 from .core import (
+    Allocation,
     DomainError,
     ValidationError,
     as_fraction,
@@ -27,12 +28,11 @@ from .experiments import (
     curve_csv,
     curve_samples,
     histogram_csv,
-    ingest_csv,
     instance_ratio,
     records_csv,
     run_histogram,
 )
-from .mms import SearchLimitError, exact_mms, fits_under
+from .mms import SearchLimitError, exact_mms
 from .shares import guarantee, hill_share, mms_lower_bound, witness_lower, witness_upper
 
 F = Fraction
@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--m", required=True, help="comma-separated object counts")
     es.add_argument("--count", type=int, default=100)
     es.add_argument("--seed", type=int, required=True)
-    es.add_argument("--arithmetic", choices=("exact", "float"), default="exact")
     es.add_argument("--records-out", help="also write the raw per-instance records")
     es.add_argument("--out")
 
@@ -130,17 +129,18 @@ def _parse_allocation_file(path: str, n: int, m: int):
         if any(not 1 <= j <= m for j in ids):
             raise ValidationError("object index out of range in allocation file")
         bundles.append(frozenset(j - 1 for j in ids))
-    from .core import Allocation
     alloc = Allocation(tuple(bundles))
     alloc.validate(m)
     return alloc
 
 
+def _format_bundle(b) -> str:
+    """1-based object ids, comma-separated; "-" for an empty bundle."""
+    return ",".join(str(j + 1) for j in sorted(b)) if b else "-"
+
+
 def _format_allocation_file(alloc) -> str:
-    lines = []
-    for b in alloc.bundles:
-        lines.append(",".join(str(j + 1) for j in sorted(b)) if b else "-")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_format_bundle(b) for b in alloc.bundles) + "\n"
 
 
 def main(argv=None) -> int:
@@ -159,6 +159,9 @@ def _dispatch(args) -> int:
     if args.cmd == "share":
         m = args.m if not args.unrestricted else None
         alpha = as_fraction(args.alpha)
+        if args.kind == "guarantee" and m is not None:
+            raise DomainError("--m does not apply to --kind guarantee, "
+                              "which holds for every object count")
         if args.kind == "upper":
             val = hill_share(args.n, alpha, m)
         elif args.kind == "lower":
@@ -191,15 +194,12 @@ def _dispatch(args) -> int:
     if args.cmd == "allocate":
         inst = read_instance_csv(args.instance)
         alloc, report = allocate(inst)
-        lines = []
-        for rep in report.agents:
-            b = alloc.bundles[rep.agent]
-            objs = ",".join(str(j + 1) for j in sorted(b)) if b else "-"
-            lines.append(
-                f"agent {rep.agent + 1}: bundle [{objs}] "
-                f"disutility {_show(rep.cost)} alpha {_show(rep.alpha)} "
-                f"guarantee {_show(rep.cap)} satisfied {'yes' if rep.satisfied else 'NO'}"
-            )
+        lines = [
+            f"agent {rep.agent + 1}: bundle [{_format_bundle(alloc.bundles[rep.agent])}] "
+            f"disutility {_show(rep.cost)} alpha {_show(rep.alpha)} "
+            f"guarantee {_show(rep.cap)} satisfied {'yes' if rep.satisfied else 'NO'}"
+            for rep in report.agents
+        ]
         _emit("\n".join(lines) + "\n", args.out)
         if args.allocation_out:
             with open(args.allocation_out, "w", encoding="utf-8") as fh:
@@ -214,7 +214,7 @@ def _dispatch(args) -> int:
         for i, row in enumerate(inst.profile):
             cap = guarantee(inst.n, row.alpha())
             cost = row.value_of(alloc.bundles[i])
-            good = cost <= cap and fits_under(row, inst.n, cap)
+            good = cost <= cap
             ok = ok and good
             lines.append(
                 f"agent {i + 1}: disutility {_show(cost)} guarantee {_show(cap)} "
@@ -227,12 +227,12 @@ def _dispatch(args) -> int:
     # experiment
     if args.exp == "synthetic":
         m_values = tuple(int(t) for t in args.m.split(","))
-        cfg = ExperimentConfig(args.n, m_values, args.count, args.seed, args.arithmetic)
+        cfg = ExperimentConfig(args.n, m_values, args.count, args.seed)
         hist = run_histogram(cfg)
         _emit(histogram_csv(hist, cfg), args.out)
         if args.records_out:
             with open(args.records_out, "w", encoding="utf-8") as fh:
-                fh.write(records_csv(hist, cfg))
+                fh.write(records_csv(hist.records, cfg.summary()))
         return 0
 
     if args.exp == "curve":
@@ -244,13 +244,8 @@ def _dispatch(args) -> int:
         return 0
 
     # ratios
-    vectors = ingest_csv(args.instance)
-    out = [f"# config: n={args.n} source={args.instance}",
-           "n,m,alpha,hill_share,mms,ratio"]
-    for v in vectors:
-        r = instance_ratio(v, args.n)
-        out.append(f"{r.n},{r.m},{r.alpha},{r.hill},{r.mms},{r.ratio}")
-    _emit("\n".join(out) + "\n", args.out)
+    records = [instance_ratio(v, args.n) for v in read_instance_csv(args.instance).profile]
+    _emit(records_csv(records, f"n={args.n} source={args.instance}"), args.out)
     return 0
 
 

@@ -10,6 +10,7 @@ flagged all-zero rows).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -202,21 +203,40 @@ def ceil_inv(alpha: Fraction) -> int:
 # entries as decimal strings or p/q fractions.  Lines starting with '#' and
 # blank lines are ignored.
 
+def _check_cell_size(tok: str) -> None:
+    """Reject an entry too long to print back under sys.get_int_max_str_digits().
+
+    Its numerator and denominator have no more digits than the token has
+    characters before the exponent, plus the exponent, so the check runs on
+    the text, before a Fraction like 10**200000 is built.
+    """
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = tok.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    digits = len(mantissa)
+    if exponent.isdigit():
+        digits += int(exponent) if len(exponent) <= len(str(limit)) else limit + 1
+    if limit and digits > limit:
+        raise ValueError(f"entry has more than {limit} digits")
+
+
 def parse_instance_csv(text: str) -> Instance:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValidationError("empty instance file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     m = len(header)
     if header != [f"object_{j}" for j in range(1, m + 1)]:
         raise ValidationError("bad header, expected object_1,...,object_m")
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         toks = [t.strip() for t in ln.split(",")]
         if len(toks) != m:
             raise ValidationError(f"line {lineno}: expected {m} entries, got {len(toks)}")
         try:
+            for t in toks:
+                _check_cell_size(t)
             row = [as_fraction(t) for t in toks]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc

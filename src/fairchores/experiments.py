@@ -3,8 +3,7 @@ and theoretical-curve data.
 
 All ratio arithmetic is exact: synthetic draws live on a common denominator
 of 10**9, so segment lengths sum to exactly 1 and the integer MMS solver
-applies directly.  "float" mode merely sources the draws from the float RNG
-before quantizing to the same grid.
+applies directly.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DisutilityVector, ValidationError, as_fraction, parse_instance_csv
+from .core import DisutilityVector, ValidationError, as_fraction
 from .mms import exact_mms
 from .shares import guarantee, hill_share, mms_lower_bound
 
@@ -28,17 +27,19 @@ class ExperimentConfig:
     m_values: tuple[int, ...]
     instances_per_setting: int
     seed: int
-    arithmetic: str = "exact"  # "exact" | "float"
 
     def __post_init__(self):
         if self.instances_per_setting < 0:
             raise ValidationError("instances_per_setting must be nonnegative")
-        if self.arithmetic not in ("exact", "float"):
-            raise ValidationError("arithmetic must be 'exact' or 'float'")
         if self.n < 2:
             raise ValidationError("need at least 2 agents")
         if any(m < self.n for m in self.m_values):
             raise ValidationError("m must be at least n for ratio experiments")
+
+    def summary(self) -> str:
+        """The settings as written on an emitted CSV's '# config:' line."""
+        return (f"n={self.n} m={','.join(map(str, self.m_values))} "
+                f"count={self.instances_per_setting} seed={self.seed} arithmetic=exact")
 
 
 @dataclass(frozen=True)
@@ -67,17 +68,14 @@ class RatioHistogram:
         return F(10 + b, 10), F(11 + b, 10)
 
 
-def gen_synthetic(m: int, rng: random.Random, exact: bool = True) -> DisutilityVector:
+def gen_synthetic(m: int, rng: random.Random) -> DisutilityVector:
     """Sample m segment lengths of [0,1] from m-1 uniform cuts.
 
     Cuts are lattice points p/10**9, so the lengths sum to exactly 1.
     """
     if m < 1:
         raise ValidationError("need at least one object")
-    if exact:
-        cuts = sorted(rng.randrange(GRID + 1) for _ in range(m - 1))
-    else:
-        cuts = sorted(round(rng.random() * GRID) for _ in range(m - 1))
+    cuts = sorted(rng.randrange(GRID + 1) for _ in range(m - 1))
     points = [0] + cuts + [GRID]
     vals = tuple(F(points[i + 1] - points[i], GRID) for i in range(m))
     return DisutilityVector(vals, normalized=True)
@@ -99,7 +97,7 @@ def run_histogram(cfg: ExperimentConfig, **limits) -> RatioHistogram:
         rng = random.Random(f"{cfg.seed}:{cfg.n}:{m}")
         buckets: dict[int, int] = {}
         for _ in range(cfg.instances_per_setting):
-            v = gen_synthetic(m, rng, exact=(cfg.arithmetic == "exact"))
+            v = gen_synthetic(m, rng)
             rec = instance_ratio(v, cfg.n, **limits)
             records.append(rec)
             b = RatioHistogram.bucket_of(rec.ratio)
@@ -129,18 +127,6 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
     return rows
 
 
-def ingest_csv(path) -> list[DisutilityVector]:
-    """Read user-supplied valuations in the core CSV format, one vector per row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not stripped:
-        warnings.warn(f"{path}: empty valuation file")
-        return []
-    inst = parse_instance_csv(text)
-    return list(inst.profile)
-
-
 # ---------------------------------------------------------------------------
 # CSV emission.  Every emitter starts with a '#' comment carrying the config.
 
@@ -158,9 +144,7 @@ def _dec(x: Fraction, places: int = 12) -> str:
 
 
 def histogram_csv(hist: RatioHistogram, cfg: ExperimentConfig) -> str:
-    out = [f"# config: n={cfg.n} m={','.join(map(str, cfg.m_values))} "
-           f"count={cfg.instances_per_setting} seed={cfg.seed} arithmetic={cfg.arithmetic}",
-           "n,m,bucket_lo,bucket_hi,count"]
+    out = [f"# config: {cfg.summary()}", "n,m,bucket_lo,bucket_hi,count"]
     for (n, m), buckets in sorted(hist.counts.items()):
         for b in sorted(buckets):
             lo, hi = RatioHistogram.bucket_bounds(b)
@@ -168,11 +152,10 @@ def histogram_csv(hist: RatioHistogram, cfg: ExperimentConfig) -> str:
     return "\n".join(out) + "\n"
 
 
-def records_csv(hist: RatioHistogram, cfg: ExperimentConfig) -> str:
-    out = [f"# config: n={cfg.n} m={','.join(map(str, cfg.m_values))} "
-           f"count={cfg.instances_per_setting} seed={cfg.seed} arithmetic={cfg.arithmetic}",
-           "n,m,alpha,hill_share,mms,ratio"]
-    for r in hist.records:
+def records_csv(records, config: str) -> str:
+    """Ratio records, one row each, under a '# config: <config>' line."""
+    out = [f"# config: {config}", "n,m,alpha,hill_share,mms,ratio"]
+    for r in records:
         out.append(f"{r.n},{r.m},{r.alpha},{r.hill},{r.mms},{r.ratio}")
     return "\n".join(out) + "\n"
 

@@ -68,6 +68,45 @@ def _validate(n: int, alpha: Fraction, m: Optional[int]) -> None:
             )
 
 
+def _upper_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, int, Fraction]:
+    """(construction tag, bracket k, value) of the tight upper bound.
+
+    The single branch tree of the bound: hill_share reads the value and
+    witness_upper builds the vector that the tag names.
+    """
+    reg = classify_theorem1(n, alpha)
+    k = reg.k
+    if n == 2 and k == 1:
+        # three-step piece on (1/5, 1/3]; m < 6 cuts it short
+        if m == 3:  # feasibility forces alpha = 1/3
+            return "two-agent-m3", k, F(2, 3)
+        if m == 4:
+            return "two-agent-m4", k, 2 * alpha
+        if alpha <= (F(3, 11) if m == 5 else F(7, 27)):
+            return "two-agent-low", k, F(3, 4) * (1 - alpha)
+        if m == 5 or alpha > F(2, 7):
+            return "two-agent-high", k, 2 * alpha
+        return "two-agent-mid", k, alpha + F(2, 5) * (1 - alpha)
+    if reg.tag == "D" and (m is None or m >= k * n + n + 1):
+        return "one-heavy-balanced", k, F(k + 2, k + 1) * (1 - alpha) / n
+    # restricted-m D branch and every I branch
+    tag = "alpha-heavy" if reg.tag == "I" and m is None else "alpha-block"
+    return tag, k, (k + 1) * alpha
+
+
+def _lower_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, int, Fraction]:
+    """(construction tag, k = floor(1/(n alpha)), value) of the best-case bound."""
+    if alpha > F(1, n):
+        return "singleton-cover", 0, alpha
+    k = int(F(1) // (n * alpha))
+    if alpha == F(1, k * n):
+        return "even-split", k, F(1, n)
+    # 1/((k+1)n) < alpha < 1/(kn)
+    if m is None or m >= k * n + n:
+        return "even-split-remainders", k, F(1, n)
+    return "tight-remainders", k, k * alpha + (1 - k * n * alpha) / (m - k * n)
+
+
 def hill_share(n: int, alpha, m: Optional[int] = None) -> Fraction:
     """Tight upper bound on MMS_n over normalised vectors with max entry alpha.
 
@@ -75,42 +114,14 @@ def hill_share(n: int, alpha, m: Optional[int] = None) -> Fraction:
     """
     alpha = as_fraction(alpha)
     _validate(n, alpha, m)
-    reg = classify_theorem1(n, alpha)
-    k = reg.k
-    if n == 2 and k == 1:
-        # three-step piece on (1/5, 1/3]
-        if m is None or m >= 6:
-            if alpha <= F(7, 27):
-                return F(3, 4) * (1 - alpha)
-            if alpha <= F(2, 7):
-                return alpha + F(2, 5) * (1 - alpha)
-            return 2 * alpha
-        if m == 3:  # feasibility forces alpha = 1/3
-            return F(2, 3)
-        if m == 4:
-            return 2 * alpha
-        # m == 5
-        if alpha <= F(3, 11):
-            return F(3, 4) * (1 - alpha)
-        return 2 * alpha
-    if reg.tag == "D" and (m is None or m >= k * n + n + 1):
-        return F(k + 2, k + 1) * (1 - alpha) / n
-    return (k + 1) * alpha
+    return _upper_piece(n, alpha, m)[2]
 
 
 def mms_lower_bound(n: int, alpha, m: Optional[int] = None) -> Fraction:
     """Minimum MMS_n over normalised vectors with max entry alpha (exact)."""
     alpha = as_fraction(alpha)
     _validate(n, alpha, m)
-    if alpha > F(1, n):
-        return alpha
-    k = int(F(1) // (n * alpha))
-    if alpha == F(1, k * n):
-        return F(1, n)
-    # 1/((k+1)n) < alpha < 1/(kn)
-    if m is None or m >= k * n + n:
-        return F(1, n)
-    return k * alpha + (1 - k * n * alpha) / (m - k * n)
+    return _lower_piece(n, alpha, m)[2]
 
 
 def guarantee(n: int, alpha) -> Fraction:
@@ -155,53 +166,35 @@ def witness_upper(n: int, alpha, m: Optional[int] = None) -> WitnessInstance:
     """Worst-case vector whose exact MinMaxShare equals hill_share(n, alpha, m)."""
     alpha = as_fraction(alpha)
     _validate(n, alpha, m)
-    claimed = hill_share(n, alpha, m)
-    reg = classify_theorem1(n, alpha)
-    k = reg.k
-    if n == 2 and k == 1:
-        if m is not None and m == 4:
-            return _witness(_alpha_block(alpha), alpha, m, claimed, "two-agent-m4")
-        if m is not None and m == 3:
-            return _witness([F(1, 3)] * 3, alpha, m, claimed, "two-agent-m3")
-        # m == 5 or m >= 6 or unrestricted
-        if alpha <= (F(3, 11) if m == 5 else F(7, 27)):
-            vals = [alpha] + [(1 - alpha) / 4] * 4
-            return _witness(vals, alpha, m, claimed, "two-agent-low")
-        if m is not None and m == 5 or alpha > F(2, 7):
-            vals = [alpha] * 3 + [1 - 3 * alpha]
-            return _witness(vals, alpha, m, claimed, "two-agent-high")
+    tag, k, claimed = _upper_piece(n, alpha, m)
+    if tag in ("two-agent-m3", "two-agent-m4", "alpha-block"):
+        vals = _alpha_block(alpha)
+    elif tag == "two-agent-low":
+        vals = [alpha] + [(1 - alpha) / 4] * 4
+    elif tag == "two-agent-mid":
         vals = [alpha] + [(1 - alpha) / 5] * 5
-        return _witness(vals, alpha, m, claimed, "two-agent-mid")
-    if reg.tag == "D" and (m is None or m >= k * n + n + 1):
+    elif tag == "two-agent-high":
+        vals = [alpha] * 3 + [1 - 3 * alpha]
+    elif tag == "one-heavy-balanced":
         q = n * (k + 1)
         vals = [alpha] + [(1 - alpha) / q] * q
-        return _witness(vals, alpha, m, claimed, "one-heavy-balanced")
-    # restricted-m D branch and every I branch with finite m
-    if reg.tag == "I" and m is None:
+    else:  # alpha-heavy
         vals = [alpha] * (k * n + 1) + [(1 - (k * n + 1) * alpha) / (n - 1)] * (n - 1)
-        return _witness(vals, alpha, m, claimed, "alpha-heavy")
-    return _witness(_alpha_block(alpha), alpha, m, claimed, "alpha-block")
+    return _witness(vals, alpha, m, claimed, tag)
 
 
 def witness_lower(n: int, alpha, m: Optional[int] = None) -> WitnessInstance:
     """Best-case vector whose exact MinMaxShare equals mms_lower_bound(n, alpha, m)."""
     alpha = as_fraction(alpha)
     _validate(n, alpha, m)
-    claimed = mms_lower_bound(n, alpha, m)
-    if alpha > F(1, n):
-        fl = int(F(1) // alpha)
-        vals = [alpha] * fl
-        if fl * alpha != 1:
-            vals.append(1 - fl * alpha)
-        return _witness(vals, alpha, m, claimed, "singleton-cover")
-    k = int(F(1) // (n * alpha))
-    if alpha == F(1, k * n):
-        return _witness([alpha] * (k * n), alpha, m, claimed, "even-split")
-    if m is None or m >= k * n + n:
+    tag, k, claimed = _lower_piece(n, alpha, m)
+    if tag in ("singleton-cover", "even-split"):
+        vals = _alpha_block(alpha)
+    elif tag == "even-split-remainders":
         vals = [alpha] * (k * n) + [F(1, n) - k * alpha] * n
-        return _witness(vals, alpha, m, claimed, "even-split-remainders")
-    vals = [alpha] * (k * n) + [(1 - k * n * alpha) / (m - k * n)] * (m - k * n)
-    return _witness(vals, alpha, m, claimed, "tight-remainders")
+    else:  # tight-remainders
+        vals = [alpha] * (k * n) + [(1 - k * n * alpha) / (m - k * n)] * (m - k * n)
+    return _witness(vals, alpha, m, claimed, tag)
 
 
 def theoretical_ratio(n: int, alpha, m: Optional[int] = None) -> Fraction:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -130,3 +131,38 @@ class TestExperimentCommands:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["mms", "--instance", "/nonexistent.csv", "--n", "2"]) == 2
+
+
+class TestInputChecks:
+    def test_verify_checks_cost_not_mms(self, capsys, tmp_path):
+        # 30 objects is past the exact MMS oracle's default guard; verify
+        # must not need the oracle to check an allocation
+        rng = random.Random(30)
+        inst = tmp_path / "i.csv"
+        inst.write_text(",".join(f"object_{j}" for j in range(1, 31)) + "\n" + "".join(
+            ",".join(f"{rng.randrange(1, 50)}/{rng.randrange(1, 9)}" for _ in range(30)) + "\n"
+            for _ in range(3)))
+        a = tmp_path / "a.txt"
+        code, out, _ = run(capsys, "allocate", "--instance", str(inst),
+                           "--allocation-out", str(a))
+        assert code == 0 and out.count("satisfied yes") == 3
+        code, out, err = run(capsys, "verify", "--instance", str(inst),
+                             "--allocation", str(a))
+        assert code == 0 and out.endswith("all guarantees satisfied\n"), err
+
+    def test_guarantee_rejects_m(self, capsys):
+        code, out, err = run(capsys, "share", "--n", "2", "--alpha", "1/3",
+                             "--m", "2", "--kind", "guarantee")
+        assert code == 2 and out == "" and "--m" in err
+
+    def test_huge_cell_rejected_before_allocating(self, capsys, tmp_path):
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2\n1,1\n1e200000,1\n")
+        code, out, err = run(capsys, "allocate", "--instance", str(inst))
+        assert code == 2 and out == "" and "line 3" in err
+
+    def test_ratios_empty_file_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("# nothing here\n")
+        code, out, err = run(capsys, "experiment", "ratios", "--instance", str(p), "--n", "2")
+        assert code == 2 and out == "" and "empty" in err

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,19 @@ def test_csv_parse_errors():
         parse_instance_csv("object_1,object_2\n-1,2\n")
     with pytest.raises(ValidationError):
         parse_instance_csv("object_1,object_2\n")
+
+
+def test_csv_rejects_entries_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    text = "# huge\nobject_1,object_2\n1,1\n1e200000,1\n"
+    with pytest.raises(ValidationError, match="line 4: .*digits"):
+        parse_instance_csv(text)
+    with pytest.raises(ValidationError, match="line 2"):
+        parse_instance_csv("object_1\n" + "1" * (limit + 1) + "\n")
+    with pytest.raises(ValidationError, match="line 2"):
+        parse_instance_csv("object_1\n1e" + "9" * 30 + "\n")
+    inst = parse_instance_csv(f"object_1,object_2\n1e{limit - 1},1\n")
+    assert str(inst.profile[0].values[1])  # at the limit, still printable
 
 
 def test_csv_comments_and_fractions():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairchores.core import DomainError
+from fairchores.core import DomainError, ceil_inv
 from fairchores.mms import exact_mms
 from fairchores.shares import (
     ShareQuery,
@@ -168,6 +168,34 @@ class TestRatios:
     def test_ceiling(self):
         assert ratio_ceiling(2) == F(4, 3)
         assert ratio_ceiling(5) == F(10, 6)
+
+    def test_ceiling_at_exact_breakpoints(self):
+        """Every closed-form breakpoint for n <= 12, k <= 7, and its 1e-12
+        neighbours, with m unrestricted and from ceil(1/alpha) to 3n+3 past
+        it: the ratio stays at or below 2n/(n+1) and reaches it for each n.
+        This is in addition to the 10,000-point grid of criterion 5."""
+        eps = F(1, 10 ** 12)
+        for n in range(2, 13):
+            points = {F(7, 27), F(2, 7), F(3, 11)}  # n=2, k=1 special pieces
+            for k in range(8):
+                points |= {
+                    F(1, (k + 1) * n + 1), F(1, k * n + 1),  # bracket ends
+                    F(k + 2, n * (k + 1) ** 2 + k + 2),       # D/I split
+                    F(k + 2, (k + 1) * ((k + 1) * n + 1)),    # NI/IV split
+                }
+                if k:
+                    points.add(F(1, k * n))  # best-case even split
+            cap, best = ratio_ceiling(n), F(0)
+            for p in points:
+                for a in (p - eps, p, p + eps):
+                    if not 0 < a < 1:
+                        continue
+                    c = ceil_inv(a)
+                    for m in (None, *range(c, c + 3 * n + 4)):
+                        r = theoretical_ratio(n, a, m)
+                        assert r <= cap, (n, a, m, r)
+                        best = max(best, r)
+            assert best == cap, (n, best)
 
     def test_high_ratio_ranges_shape(self):
         assert high_ratio_ranges(3) == ((F(2, 9), F(1, 3)),)
