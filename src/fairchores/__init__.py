@@ -13,6 +13,7 @@ from .core import (
     ceil_inv,
     classify_guarantee,
     classify_theorem1,
+    format_decimal,
     format_instance_csv,
     normalize,
     order_vector,
@@ -59,5 +60,17 @@ from .experiments import (
     run_histogram,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Allocation", "DisutilityVector", "DomainError", "Instance", "RegionIndex",
+    "ValidationError", "as_fraction", "ceil_inv", "classify_guarantee",
+    "classify_theorem1", "format_decimal", "format_instance_csv", "normalize",
+    "order_vector", "parse_instance_csv", "read_instance_csv", "ShareQuery",
+    "WitnessInstance", "guarantee", "hill_share", "high_ratio_ranges",
+    "mms_lower_bound", "natural_object_count", "ratio_ceiling", "theoretical_ratio",
+    "witness_lower", "witness_upper", "SearchLimitError", "exact_mms", "fits_under",
+    "lex_minmax", "minmax_partition", "AllocationReport", "KnifeTrace",
+    "OrderedReduction", "allocate", "allocate_two_agents_tight", "lift_allocation",
+    "moving_knife", "reduce_to_ordered", "ExperimentConfig", "RatioHistogram",
+    "RatioRecord", "curve_samples", "gen_synthetic", "instance_ratio", "run_histogram",
+]
 __version__ = "0.1.0"

@@ -8,11 +8,13 @@ sequence.  Every agent ends with disutility at most guarantee(n, alpha_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
-from .core import Allocation, DisutilityVector, Instance, ValidationError, order_vector
+from .core import Allocation, Instance, ValidationError, order_vector
 from .mms import minmax_partition
 from .shares import guarantee, hill_share
 
@@ -34,20 +36,20 @@ class OrderedReduction:
 
 @dataclass(frozen=True)
 class KnifeLevel:
-    """Trace of one recursion level of the moving-knife procedure."""
+    """One knife level; values are raw values over the agent's remaining mass."""
 
     agents: tuple[int, ...]             # active agents, original indices
     level_n: int
-    alphas: dict[int, Fraction]         # current (renormalised) max entries
+    alphas: dict[int, Fraction]         # value of the first unallocated position
     caps: dict[int, Fraction]           # guarantee(level_n, alpha_i)
-    prefix_values: dict[int, Fraction]  # knife-set disutility at loop exit
+    prefix_values: dict[int, Fraction]  # knife-set value at loop exit
     served_agent: int
     prefix_len: int                     # knife length t at loop exit
     removed_position: Optional[int]     # ordered position of the dropped object
-    served_value: Fraction              # served agent's bundle value, current scale
-    bundle_costs: dict[int, Fraction]   # unserved agents' C_i = v_i(served bundle)
-    renorm_factors: dict[int, Fraction]  # 1 - C_i per unserved agent
-    early_exhaustion: bool
+    served_value: Fraction              # served agent's value of her bundle
+    bundle_costs: dict[int, Fraction]   # unserved agents' C_i = v_i(served bundle);
+                                        # each one's mass shrinks by 1 - C_i
+    early_exhaustion: bool              # the knife reached the end within a cap
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class AgentReport:
 @dataclass(frozen=True)
 class AllocationReport:
     agents: tuple[AgentReport, ...]
-    trace: Optional[KnifeTrace] = None
+    trace: KnifeTrace
 
 
 def reduce_to_ordered(inst: Instance) -> OrderedReduction:
@@ -77,80 +79,59 @@ def reduce_to_ordered(inst: Instance) -> OrderedReduction:
         o, p = order_vector(row)
         ordered_rows.append(o)
         perms.append(p)
-    ordered = Instance(tuple(ordered_rows), inst.scale_factors)
+    ordered = Instance(tuple(ordered_rows))
     return OrderedReduction(ordered, tuple(perms), inst)
 
 
 def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     """Allocate ordered positions so each agent stays within her guarantee.
 
-    Works level by level: all agents advance a shared prefix knife one object
-    at a time while anyone is still within her cap; one agent who just crossed
-    takes her prefix minus the last object; the rest renormalise and recurse.
+    Works level by level on the unallocated suffix [s, m): all agents advance
+    a shared prefix knife while anyone is still within her cap; one agent who
+    just crossed takes her prefix minus the last object; the rest recurse.
+    Rather than renormalise the rest to total 1, each agent keeps her row's
+    prefix sums and a remaining mass, shrunk by 1 - C_i per served bundle.
     """
     n, m = ordered.n, ordered.m
-    bundles: list[set[int]] = [set() for _ in range(n)]
+    prefix = [list(accumulate(row.values, initial=F(0))) for row in ordered.profile]
+    mass = [F(1)] * n
+
+    def value(i: int, a: int, b: int) -> Fraction:
+        """Agent i's renormalised value of positions [a, b)."""
+        return (prefix[i][b] - prefix[i][a]) / mass[i] if mass[i] else F(0)
+
+    bundles = [frozenset()] * n
     levels: list[KnifeLevel] = []
     active = list(range(n))
-    remaining = list(range(m))
-    vals = {i: dict(enumerate(ordered.profile[i].values)) for i in active}
-
-    while active:
+    s = 0
+    early = False
+    while len(active) > 1 and not early:
         n_ = len(active)
-        if n_ == 1:
-            bundles[active[0]].update(remaining)
-            break
-        alphas = {i: (vals[i][remaining[0]] if remaining else F(0)) for i in active}
+        alphas = {i: value(i, s, min(s + 1, m)) for i in active}
         caps = {i: guarantee(n_, alphas[i]) for i in active}
-        prefix = {i: F(0) for i in active}
-        t = 0
-        exhausted = False
-        while any(prefix[i] <= caps[i] for i in active):
-            if t == len(remaining):
-                exhausted = True
-                break
-            e = remaining[t]
-            for i in active:
-                prefix[i] += vals[i][e]
-            t += 1
-        if exhausted:
-            served = next(i for i in active if prefix[i] <= caps[i])
-            bundles[served].update(remaining)
-            levels.append(KnifeLevel(
-                agents=tuple(active), level_n=n_, alphas=alphas, caps=caps,
-                prefix_values=dict(prefix), served_agent=served, prefix_len=t,
-                removed_position=None, served_value=prefix[served],
-                bundle_costs={}, renorm_factors={}, early_exhaustion=True,
-            ))
-            break
-        removed = remaining[t - 1]
-        served = next(i for i in active if prefix[i] - vals[i][removed] <= caps[i])
-        bundle = remaining[: t - 1]
-        bundles[served].update(bundle)
-        rest = remaining[t - 1:]
-        costs = {i: prefix[i] - vals[i][removed] for i in active if i != served}
-        factors = {i: 1 - costs[i] for i in costs}
+        # the first knife length at which each agent exceeds her cap
+        stops = {i: bisect_right(prefix[i], prefix[i][s] + mass[i] * caps[i], s) - s
+                 for i in active}
+        t = max(stops.values())
+        served = next(i for i in active if stops[i] == t)
+        early = s + t > m  # someone stays within her cap on the whole suffix
+        end = m if early else s + t - 1
+        t = min(t, m - s)
+        costs = {} if early else {i: value(i, s, end) for i in active if i != served}
         levels.append(KnifeLevel(
             agents=tuple(active), level_n=n_, alphas=alphas, caps=caps,
-            prefix_values=dict(prefix), served_agent=served, prefix_len=t,
-            removed_position=removed, served_value=prefix[served] - vals[served][removed],
-            bundle_costs=costs, renorm_factors=factors, early_exhaustion=False,
+            prefix_values={i: value(i, s, s + t) for i in active}, served_agent=served,
+            prefix_len=t, removed_position=None if early else end,
+            served_value=value(served, s, end), bundle_costs=costs, early_exhaustion=early,
         ))
-        active = [i for i in active if i != served]
-        if len(active) == 1:
-            bundles[active[0]].update(rest)
-            break
-        remaining = rest
-        new_vals = {}
-        for i in active:
-            f_ = factors[i]
-            if f_ == 0:
-                new_vals[i] = {e: F(0) for e in remaining}
-            else:
-                new_vals[i] = {e: vals[i][e] / f_ for e in remaining}
-        vals = new_vals
+        bundles[served] = frozenset(range(s, end))
+        for i, c in costs.items():
+            mass[i] *= 1 - c
+        active.remove(served)
+        s = end
+    bundles[active[0]] = frozenset(range(s, m))
 
-    alloc = Allocation(tuple(frozenset(b) for b in bundles))
+    alloc = Allocation(tuple(bundles))
     alloc.validate(m)
     return alloc, KnifeTrace(tuple(levels))
 
@@ -183,21 +164,13 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
 
 def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
     """Full pipeline; the report gives per-agent alpha, cap, cost and flag."""
-    n = inst.n
-    if n == 1:
-        alloc = Allocation((frozenset(range(inst.m)),))
-        row = inst.profile[0]
-        rep = AgentReport(0, row.alpha(), F(1), row.total(), True)
-        return alloc, AllocationReport((rep,))
     red = reduce_to_ordered(inst)
     ordered_alloc, trace = moving_knife(red.ordered)
     real = lift_allocation(red, ordered_alloc)
     reports = []
-    for i in range(n):
-        row = inst.profile[i]
-        alpha = row.alpha()
-        cap = guarantee(n, alpha)
-        cost = row.value_of(real.bundles[i])
+    for i, row in enumerate(inst.profile):
+        alpha, cost = row.alpha(), row.value_of(real.bundles[i])
+        cap = guarantee(inst.n, alpha)
         reports.append(AgentReport(i, alpha, cap, cost, cost <= cap))
     return real, AllocationReport(tuple(reports), trace)
 

@@ -19,12 +19,12 @@ from .core import (
     DomainError,
     ValidationError,
     as_fraction,
+    format_decimal,
     format_instance_csv,
     read_instance_csv,
 )
 from .experiments import (
     ExperimentConfig,
-    _dec,
     curve_csv,
     curve_samples,
     histogram_csv,
@@ -47,7 +47,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _show(x: Fraction) -> str:
-    return f"{x} ({_dec(x)})"
+    return f"{x} ({format_decimal(x)})"
 
 
 def _add_common_query(p: argparse.ArgumentParser) -> None:

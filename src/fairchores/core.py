@@ -72,7 +72,6 @@ class Instance:
     """n agents x m objects, rows normalised (or flagged all-zero)."""
 
     profile: tuple[DisutilityVector, ...]
-    scale_factors: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not self.profile:
@@ -122,8 +121,7 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     """Build a normalised Instance from a matrix of nonnegative rationals.
 
     Each row is divided by its total; a zero-total row is kept all-zero and
-    flagged via ``normalized=False``.  ``scale_factors`` records the original
-    row totals.
+    flagged via ``normalized=False``.
     """
     rows = [tuple(as_fraction(x) for x in r) for r in raw]
     if not rows:
@@ -132,17 +130,15 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     if any(len(r) != m for r in rows):
         raise ValidationError("ragged matrix")
     profile = []
-    scales = []
     for r in rows:
         if any(x < 0 for x in r):
             raise ValidationError("negative disutility entry")
         total = sum(r, Fraction(0))
-        scales.append(total)
         if total == 0:
             profile.append(DisutilityVector(r, normalized=False))
         else:
             profile.append(DisutilityVector(tuple(x / total for x in r), normalized=True))
-    return Instance(tuple(profile), tuple(scales))
+    return Instance(tuple(profile))
 
 
 def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]]:
@@ -220,6 +216,24 @@ def _check_cell_size(tok: str) -> None:
         raise ValueError(f"entry has more than {limit} digits")
 
 
+def _row_printable(values: Sequence[Fraction]) -> bool:
+    """Whether every number printed for a normalised row fits the int-to-str limit.
+
+    Its entries and bundle costs are at most 1 and have denominators dividing
+    the row's common denominator, so bounding that bounds them all.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return True
+    common = 1
+    for d in {x.denominator for x in values}:
+        common = math.lcm(common, d)
+        # below 8**limit it is short enough, so 10**limit is rarely built
+        if common.bit_length() > 3 * limit and common >= 10 ** limit:
+            return False
+    return True
+
+
 def parse_instance_csv(text: str) -> Instance:
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
@@ -245,12 +259,24 @@ def parse_instance_csv(text: str) -> Instance:
         rows.append(row)
     if not rows:
         raise ValidationError("instance file has a header but no agent rows")
-    return normalize(rows)
+    inst = normalize(rows)
+    for (lineno, _), row in zip(lines[1:], inst.profile):
+        if not _row_printable(row.values):
+            raise ValidationError(f"line {lineno}: normalised row too long to print")
+    return inst
 
 
 def read_instance_csv(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance_csv(fh.read())
+
+
+def format_decimal(x: Fraction, places: int = 12) -> str:
+    """Exact fraction rendered to `places` decimals (round half up)."""
+    q = Fraction(x)
+    s = f"{math.floor(abs(q) * 10 ** places + Fraction(1, 2)):0{places + 1}d}"
+    body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".")
+    return ("-" if q < 0 else "") + body
 
 
 def format_instance_csv(inst: Instance, comments: Sequence[str] = ()) -> str:

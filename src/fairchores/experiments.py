@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DisutilityVector, ValidationError, as_fraction
+from .core import DisutilityVector, ValidationError, as_fraction, format_decimal
 from .mms import exact_mms
 from .shares import guarantee, hill_share, mms_lower_bound
 
@@ -130,19 +130,6 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # CSV emission.  Every emitter starts with a '#' comment carrying the config.
 
-def _dec(x: Fraction, places: int = 12) -> str:
-    """Exact fraction rendered to `places` decimals (round half up)."""
-    q = Fraction(x)
-    sign = "-" if q < 0 else ""
-    scaled = abs(q) * 10 ** places
-    i = scaled.numerator // scaled.denominator
-    if 2 * (scaled - i) >= 1:
-        i += 1
-    s = f"{i:0{places + 1}d}"
-    body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".")
-    return sign + body if body else "0"
-
-
 def histogram_csv(hist: RatioHistogram, cfg: ExperimentConfig) -> str:
     out = [f"# config: {cfg.summary()}", "n,m,bucket_lo,bucket_hi,count"]
     for (n, m), buckets in sorted(hist.counts.items()):
@@ -164,5 +151,5 @@ def curve_csv(rows, n: int, m=None) -> str:
     out = [f"# config: n={n} m={'unrestricted' if m is None else m}",
            "alpha_fraction,alpha_decimal,delta_upper,delta_lower,guarantee,ratio"]
     for alpha, up, lo, g, r in rows:
-        out.append(f"{alpha},{_dec(alpha)},{up},{lo},{g},{r}")
+        out.append(f"{alpha},{format_decimal(alpha)},{up},{lo},{g},{r}")
     return "\n".join(out) + "\n"

@@ -152,7 +152,7 @@ def _witness(values: list[Fraction], alpha: Fraction, m: Optional[int],
         values = values + [F(0)] * pad
     assert sum(values) == 1 and max(values) == alpha
     vec = DisutilityVector(tuple(values), normalized=True)
-    inst = Instance((vec,), (F(1),))
+    inst = Instance((vec,))
     return WitnessInstance(inst, claimed, tag)
 
 

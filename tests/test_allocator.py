@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from fairchores.allocator import (
+    AgentReport,
     allocate,
     allocate_two_agents_tight,
     lift_allocation,
@@ -20,6 +22,9 @@ from fairchores.core import (
 )
 from fairchores.mms import exact_mms
 from fairchores.shares import guarantee, hill_share
+
+from oracles import naive_knife
+from test_acceptance import _many_zeros_rows, _powerlaw_rows, _uniform_rows
 
 F = Fraction
 
@@ -85,7 +90,6 @@ class TestMovingKnife:
         inst = Instance(
             (DisutilityVector((F(1, 2), F(1, 4), F(1, 4)), True),
              DisutilityVector((F(0), F(0), F(0)), False)),
-            (F(1), F(0)),
         )
         alloc, trace = moving_knife(inst)
         alloc.validate(3)
@@ -179,7 +183,6 @@ class TestAllocate:
         inst = Instance(
             (DisutilityVector((F(1, 2), F(1, 2), F(0)), True),
              DisutilityVector((F(0), F(0), F(0)), False)),
-            (F(1), F(0)),
         )
         alloc, report = allocate(inst)
         alloc.validate(3)
@@ -191,11 +194,46 @@ class TestAllocate:
         assert alloc.bundles == (frozenset({0, 1}),)
         assert report.agents[0].cost == 1
 
+    def test_single_agent_empty_trace(self):
+        for rows in ([[3, 1, 2, 2]], [[0, 0, 0]]):
+            alloc, report = allocate(inst_from_rows(*rows))
+            assert alloc.bundles == (frozenset(range(len(rows[0]))),)
+            assert report.agents[0].cap == 1 and report.agents[0].satisfied
+            assert report.trace.levels == ()
+
     def test_report_uses_original_alpha(self):
         inst = inst_from_rows([1, 1, 2], [4, 1, 1])
         _, report = allocate(inst)
         assert report.agents[0].alpha == F(1, 2)
         assert report.agents[1].alpha == F(2, 3)
+
+
+class TestReferenceKnife:
+    def test_matches_renormalising_knife_on_criterion_4_corpus(self):
+        # the acceptance-4 corpus: seed 777, 1,000 instances, three row makers
+        rng = random.Random(777)
+        makers = (_uniform_rows, _powerlaw_rows, _many_zeros_rows)
+        for trial in range(1000):
+            n = rng.randint(2, 6)
+            m = rng.randint(n, 40)
+            inst = normalize(makers[trial % 3](rng, n, m))
+            red = reduce_to_ordered(inst)
+            ref_bundles, ref_levels = naive_knife([r.values for r in red.ordered.profile])
+            ordered_alloc, trace = moving_knife(red.ordered)
+            assert list(ordered_alloc.bundles) == ref_bundles, trial
+
+            assert len(trace.levels) == len(ref_levels), trial
+            for lvl, ref in zip(trace.levels, ref_levels):
+                factors = ref.pop("renorm_factors")
+                assert factors == {i: 1 - c for i, c in lvl.bundle_costs.items()}, trial
+                assert dataclasses.asdict(lvl) == ref, trial
+
+            alloc, report = allocate(inst)
+            assert alloc == lift_allocation(red, Allocation(tuple(ref_bundles))), trial
+            for i, row in enumerate(inst.profile):
+                cost = row.value_of(alloc.bundles[i])
+                cap = guarantee(n, row.alpha())
+                assert report.agents[i] == AgentReport(i, row.alpha(), cap, cost, cost <= cap)
 
 
 def region_image(n, alpha):
@@ -231,7 +269,6 @@ class TestTwoAgentTight:
         inst = Instance(
             (DisutilityVector((F(1, 2), F(1, 4), F(1, 4)), True),
              DisutilityVector((F(0), F(0), F(0)), False)),
-            (F(1), F(0)),
         )
         alloc = allocate_two_agents_tight(inst)
         alloc.validate(3)

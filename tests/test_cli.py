@@ -161,6 +161,13 @@ class TestInputChecks:
         code, out, err = run(capsys, "allocate", "--instance", str(inst))
         assert code == 2 and out == "" and "line 3" in err
 
+    def test_row_too_long_to_print_rejected(self, capsys, tmp_path):
+        # each token passes the cell check, but the normalised row does not
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2\n1e4299,1e-4299\n1,1\n")
+        code, out, err = run(capsys, "allocate", "--instance", str(inst))
+        assert code == 2 and out == "" and "line 2" in err
+
     def test_ratios_empty_file_exit_2(self, capsys, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("# nothing here\n")

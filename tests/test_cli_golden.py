@@ -107,6 +107,10 @@ CASES = {
                        "--allocation-out", "{tmp}/a.txt"],
     "allocate_zero_row": ["allocate", "--instance", "inputs/zero_row.csv",
                           "--allocation-out", "{tmp}/a.txt"],
+    "allocate_one_agent": ["allocate", "--instance", "inputs/one_agent.csv",
+                           "--allocation-out", "{tmp}/a.txt"],
+    "allocate_one_agent_zero_row": ["allocate", "--instance", "inputs/one_agent_zero.csv",
+                                    "--allocation-out", "{tmp}/a.txt"],
     "allocate_24": ["allocate", "--instance", "inputs/mixed24.csv",
                     "--out", "{tmp}/report.txt", "--allocation-out", "{tmp}/a.txt"],
     "verify_small_good": ["verify", "--instance", "inputs/small.csv",

@@ -32,7 +32,6 @@ def test_normalize_rows_sum_to_one():
     assert inst.n == 2 and inst.m == 4
     assert inst.profile[0].values == (F(3, 8), F(1, 4), F(1, 4), F(1, 8))
     assert all(row.total() == 1 for row in inst.profile)
-    assert inst.scale_factors == (F(8), F(4))
 
 
 def test_normalize_zero_row_flagged():

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from fairchores.core import DisutilityVector, ValidationError
+from fairchores.core import DisutilityVector, ValidationError, format_decimal
 from fairchores.experiments import (
     ExperimentConfig,
     RatioHistogram,
-    _dec,
     curve_csv,
     curve_samples,
     gen_synthetic,
@@ -122,11 +121,11 @@ class TestCurves:
 
 class TestDecimalRendering:
     def test_dec(self):
-        assert _dec(F(1, 3)) == "0.333333333333"
-        assert _dec(F(2, 3)) == "0.666666666667"
-        assert _dec(F(1, 2)) == "0.5"
-        assert _dec(F(0)) == "0"
-        assert _dec(F(4, 3)) == "1.333333333333"
+        assert format_decimal(F(1, 3)) == "0.333333333333"
+        assert format_decimal(F(2, 3)) == "0.666666666667"
+        assert format_decimal(F(1, 2)) == "0.5"
+        assert format_decimal(F(0)) == "0"
+        assert format_decimal(F(4, 3)) == "1.333333333333"
 
 
 def test_histogram_csv_header():
