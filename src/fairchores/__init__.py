@@ -21,7 +21,6 @@ from .core import (
     read_instance_csv,
 )
 from .shares import (
-    ShareQuery,
     WitnessInstance,
     guarantee,
     hill_share,
@@ -64,7 +63,7 @@ __all__ = [
     "Allocation", "DisutilityVector", "DomainError", "Instance", "RegionIndex",
     "ValidationError", "as_fraction", "ceil_inv", "classify_guarantee",
     "classify_theorem1", "format_decimal", "format_instance_csv", "normalize",
-    "order_vector", "parse_instance_csv", "read_instance_csv", "ShareQuery",
+    "order_vector", "parse_instance_csv", "read_instance_csv",
     "WitnessInstance", "guarantee", "hill_share", "high_ratio_ranges",
     "mms_lower_bound", "natural_object_count", "ratio_ceiling", "theoretical_ratio",
     "witness_lower", "witness_upper", "SearchLimitError", "exact_mms", "fits_under",

@@ -141,22 +141,25 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
 
     Positions are processed from last (cheapest) to first; the holder of the
     position picks her cheapest not-yet-taken original object (tie: lowest
-    object index).  When position t is processed only m - t objects are gone,
-    so at least one object no costlier than her t-th largest remains; each
-    agent's real bundle therefore costs no more than her ordered bundle.
+    object index).  Each agent walks her own cheapest-first order once, a
+    stable sort of her row, skipping objects already taken.  When position t
+    is processed only m - t objects are gone, so at least one object no
+    costlier than her t-th largest remains; each agent's real bundle
+    therefore costs no more than her ordered bundle.
     """
     m = red.ordered.m
     ordered_alloc.validate(m)
-    owner = {}
+    owner = [0] * m
     for i, b in enumerate(ordered_alloc.bundles):
         for pos in b:
             owner[pos] = i
+    cheapest = [iter(sorted(range(m), key=row.values.__getitem__))
+                for row in red.original.profile]
     taken: set[int] = set()
     real: list[set[int]] = [set() for _ in range(ordered_alloc.n)]
     for pos in range(m - 1, -1, -1):
         a = owner[pos]
-        row = red.original.profile[a].values
-        pick = min((j for j in range(m) if j not in taken), key=lambda j: (row[j], j))
+        pick = next(j for j in cheapest[a] if j not in taken)
         taken.add(pick)
         real[a].add(pick)
     return Allocation(tuple(frozenset(b) for b in real))
@@ -175,7 +178,7 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
     return real, AllocationReport(tuple(reports), trace)
 
 
-def allocate_two_agents_tight(inst: Instance, **limits) -> Allocation:
+def allocate_two_agents_tight(inst: Instance) -> Allocation:
     """Two-agent procedure meeting the tighter non-monotone share bound.
 
     The agent with the smaller worst-case share bound computes her exact
@@ -200,7 +203,7 @@ def allocate_two_agents_tight(inst: Instance, **limits) -> Allocation:
     else:
         divider = 0 if bounds[0] <= bounds[1] else 1
     chooser = 1 - divider
-    _, parts = minmax_partition(inst.profile[divider], 2, **limits)
+    _, parts = minmax_partition(inst.profile[divider], 2)
     b0, b1 = parts.bundles
     ch_row = inst.profile[chooser]
     if ch_row.value_of(b0) <= ch_row.value_of(b1):

@@ -116,19 +116,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_allocation_file(path: str, n: int, m: int):
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh.read().splitlines(), 1)]
+    lines = [(k, ln) for k, ln in lines if ln and not ln.startswith("#")]
     if len(lines) != n:
         raise ValidationError(f"allocation file has {len(lines)} bundle lines, expected {n}")
     bundles = []
-    for ln in lines:
+    for k, ln in lines:
         if ln == "-":
             bundles.append(frozenset())
             continue
-        ids = [int(t) for t in ln.split(",")]
+        try:
+            ids = [int(t) for t in ln.split(",")]
+        except ValueError:
+            raise ValidationError(f"allocation file line {k}: non-integer object id") from None
         if any(not 1 <= j <= m for j in ids):
-            raise ValidationError("object index out of range in allocation file")
-        bundles.append(frozenset(j - 1 for j in ids))
+            raise ValidationError(f"allocation file line {k}: object id out of range 1..{m}")
+        bundle = frozenset(j - 1 for j in ids)
+        if len(bundle) != len(ids):
+            raise ValidationError(f"allocation file line {k}: repeated object id")
+        bundles.append(bundle)
     alloc = Allocation(tuple(bundles))
     alloc.validate(m)
     return alloc
@@ -157,7 +163,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.cmd == "share":
-        m = args.m if not args.unrestricted else None
+        m = args.m
         alpha = as_fraction(args.alpha)
         if args.kind == "guarantee" and m is not None:
             raise DomainError("--m does not apply to --kind guarantee, "
@@ -172,7 +178,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "witness":
-        m = args.m if not args.unrestricted else None
+        m = args.m
         alpha = as_fraction(args.alpha)
         maker = witness_upper if args.kind == "upper" else witness_lower
         w = maker(args.n, alpha, m)

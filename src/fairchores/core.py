@@ -147,7 +147,7 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     ``perm[p]`` is the original index of the value at sorted position p.
     Ties keep original index order (stable).
     """
-    perm = tuple(sorted(range(v.m), key=lambda j: (-v.values[j], j)))
+    perm = tuple(sorted(range(v.m), key=v.values.__getitem__, reverse=True))
     ordered = DisutilityVector(tuple(v.values[j] for j in perm), v.normalized)
     return ordered, perm
 

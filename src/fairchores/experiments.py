@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DisutilityVector, ValidationError, as_fraction, format_decimal
+from .core import DisutilityVector, DomainError, ValidationError, as_fraction, format_decimal
 from .mms import exact_mms
 from .shares import guarantee, hill_share, mms_lower_bound
 
@@ -81,15 +81,15 @@ def gen_synthetic(m: int, rng: random.Random) -> DisutilityVector:
     return DisutilityVector(vals, normalized=True)
 
 
-def instance_ratio(v: DisutilityVector, n: int, **limits) -> RatioRecord:
+def instance_ratio(v: DisutilityVector, n: int) -> RatioRecord:
     """Hill share vs exact MMS for one normalized vector."""
     alpha = v.alpha()
     hill = hill_share(n, alpha, v.m)
-    mms = exact_mms(v, n, **limits)
+    mms = exact_mms(v, n)
     return RatioRecord(n, v.m, alpha, hill, mms, hill / mms)
 
 
-def run_histogram(cfg: ExperimentConfig, **limits) -> RatioHistogram:
+def run_histogram(cfg: ExperimentConfig) -> RatioHistogram:
     """Deterministic ratio histogram; one RNG stream per (n, m) setting."""
     counts: dict[tuple[int, int], dict[int, int]] = {}
     records: list[RatioRecord] = []
@@ -98,7 +98,7 @@ def run_histogram(cfg: ExperimentConfig, **limits) -> RatioHistogram:
         buckets: dict[int, int] = {}
         for _ in range(cfg.instances_per_setting):
             v = gen_synthetic(m, rng)
-            rec = instance_ratio(v, cfg.n, **limits)
+            rec = instance_ratio(v, cfg.n)
             records.append(rec)
             b = RatioHistogram.bucket_of(rec.ratio)
             buckets[b] = buckets.get(b, 0) + 1
@@ -110,9 +110,11 @@ def run_histogram(cfg: ExperimentConfig, **limits) -> RatioHistogram:
 def curve_samples(n: int, grid, m=None) -> list[tuple]:
     """Rows (alpha, delta_upper, delta_lower, guarantee, ratio) for plotting.
 
-    Grid points outside a formula's domain (e.g. m < ceil(1/alpha)) are
-    skipped with a warning.
+    n < 2 is rejected outright; grid points outside a formula's domain
+    (e.g. m < ceil(1/alpha)) are skipped with a warning.
     """
+    if n < 2:
+        raise DomainError("need an integer agent count n >= 2")
     rows = []
     for a in grid:
         alpha = as_fraction(a)

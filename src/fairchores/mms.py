@@ -89,22 +89,22 @@ def minmax_partition(
     """
     if n < 1:
         raise ValidationError("need n >= 1")
-    nonzero = [(j, x) for j, x in enumerate(v.values) if x > 0]
-    zeros = [j for j, x in enumerate(v.values) if x == 0]
-    if len(nonzero) > max_objects or n > max_agents:
+    vals = v.values
+    idx = [j for j, x in enumerate(vals) if x > 0]
+    zeros = [j for j, x in enumerate(vals) if x == 0]
+    if len(idx) > max_objects or n > max_agents:
         raise SearchLimitError(
-            f"{len(nonzero)} nonzero objects / {n} agents exceeds the scale "
+            f"{len(idx)} nonzero objects / {n} agents exceeds the scale "
             f"guard ({max_objects} objects, {max_agents} agents); raise the "
             "limits explicitly to search anyway"
         )
-    nonzero.sort(key=lambda jx: (-jx[1], jx[0]))
-    idx = [j for j, _ in nonzero]
-    ints, denom = _integerize([x for _, x in nonzero])
+    idx.sort(key=vals.__getitem__, reverse=True)
+    ints, denom = _integerize([vals[j] for j in idx])
     bundles = [set() for _ in range(n)]
     if len(ints) <= n:
         for pos, j in enumerate(idx):
             bundles[pos].add(j)
-        value = nonzero[0][1] if nonzero else F(0)
+        value = vals[idx[0]] if idx else F(0)
     else:
         opt, assign = _bnb_min_makespan(ints, n)
         value = F(opt, denom)
@@ -119,9 +119,9 @@ def exact_mms(v: DisutilityVector, n: int, **limits) -> Fraction:
     return minmax_partition(v, n, **limits)[0]
 
 
-def fits_under(v: DisutilityVector, n: int, threshold, **limits) -> bool:
+def fits_under(v: DisutilityVector, n: int, threshold) -> bool:
     """True iff some n-partition keeps every bundle at or below threshold."""
-    return exact_mms(v, n, **limits) <= Fraction(threshold)
+    return exact_mms(v, n) <= Fraction(threshold)
 
 
 def _growth_strings(m: int, n: int):

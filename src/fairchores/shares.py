@@ -28,19 +28,6 @@ F = Fraction
 
 
 @dataclass(frozen=True)
-class ShareQuery:
-    """(n, m-or-None, alpha) with the feasibility condition m >= ceil(1/alpha)."""
-
-    n: int
-    alpha: Fraction
-    m: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        _validate(self.n, self.alpha, self.m)
-
-
-@dataclass(frozen=True)
 class WitnessInstance:
     """A unanimous single-agent profile whose exact MinMaxShare attains a bound."""
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to cross-validate the solvers.
 
 Deliberately naive: the MMS oracles enumerate all n**m assignments with no
-pruning, and the knife renormalises every agent's remaining values at every
-level.  Nothing from the package is reused beyond the plain data types and,
-in the knife, the guarantee cap.
+pruning, the knife renormalises every agent's remaining values at every
+level, and the lift scans every object for each position.  Nothing from the
+package is reused beyond the plain data types and, in the knife, the
+guarantee cap.
 """
 
 from fractions import Fraction
@@ -108,3 +109,23 @@ def naive_knife(rows):
                 for i in active}
 
     return [frozenset(b) for b in bundles], levels
+
+
+def naive_lift(rows, ordered_bundles):
+    """Reference picking-sequence lift, scanning all objects per position.
+
+    Takes the original rows and the bundles of ordered positions.  Positions
+    go from last to first; the holder of each takes her cheapest untaken
+    object, ties to the lowest index.  Returns the bundles as frozensets of
+    object indices.
+    """
+    m = len(rows[0])
+    owner = {pos: i for i, b in enumerate(ordered_bundles) for pos in b}
+    taken = set()
+    real = [set() for _ in ordered_bundles]
+    for pos in range(m - 1, -1, -1):
+        row = rows[owner[pos]]
+        pick = min((j for j in range(m) if j not in taken), key=lambda j: (row[j], j))
+        taken.add(pick)
+        real[owner[pos]].add(pick)
+    return [frozenset(b) for b in real]

@@ -23,7 +23,7 @@ from fairchores.core import (
 from fairchores.mms import exact_mms
 from fairchores.shares import guarantee, hill_share
 
-from oracles import naive_knife
+from oracles import naive_knife, naive_lift
 from test_acceptance import _many_zeros_rows, _powerlaw_rows, _uniform_rows
 
 F = Fraction
@@ -227,6 +227,9 @@ class TestReferenceKnife:
                 factors = ref.pop("renorm_factors")
                 assert factors == {i: 1 - c for i, c in lvl.bundle_costs.items()}, trial
                 assert dataclasses.asdict(lvl) == ref, trial
+
+            assert list(lift_allocation(red, ordered_alloc).bundles) == naive_lift(
+                [r.values for r in inst.profile], ref_bundles), trial
 
             alloc, report = allocate(inst)
             assert alloc == lift_allocation(red, Allocation(tuple(ref_bundles))), trial

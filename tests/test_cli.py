@@ -168,6 +168,22 @@ class TestInputChecks:
         code, out, err = run(capsys, "allocate", "--instance", str(inst))
         assert code == 2 and out == "" and "line 2" in err
 
+    def test_curve_rejects_fewer_than_two_agents(self, capsys):
+        for n in ("1", "0", "-3"):
+            code, out, err = run(capsys, "experiment", "curve", "--n", n, "--points", "3")
+            assert code == 2 and out == "" and "n >= 2" in err, n
+
+    def test_verify_names_the_bad_allocation_line(self, capsys, tmp_path):
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2,object_3\n1,1,1\n1,2,3\n")
+        a = tmp_path / "a.txt"
+        for bundle, why in (("1,1,2", "repeated"), ("1,4", "out of range"),
+                            ("1,x", "non-integer")):
+            a.write_text(f"# bundles\n{bundle}\n3\n")
+            code, out, err = run(capsys, "verify", "--instance", str(inst),
+                                 "--allocation", str(a))
+            assert code == 2 and out == "" and "line 2" in err and why in err, bundle
+
     def test_ratios_empty_file_exit_2(self, capsys, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("# nothing here\n")

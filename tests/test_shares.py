@@ -5,7 +5,6 @@ import pytest
 from fairchores.core import DomainError, ceil_inv
 from fairchores.mms import exact_mms
 from fairchores.shares import (
-    ShareQuery,
     guarantee,
     high_ratio_ranges,
     hill_share,
@@ -55,11 +54,6 @@ class TestHillShare:
             hill_share(1, F(1, 2))
         with pytest.raises(DomainError):
             hill_share(2, F(3, 2))
-
-    def test_share_query_validates(self):
-        ShareQuery(2, F(1, 3), 3)
-        with pytest.raises(DomainError):
-            ShareQuery(2, F(1, 3), 2)
 
 
 class TestLowerBound:
