@@ -90,15 +90,17 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     a shared prefix knife while anyone is still within her cap; one agent who
     just crossed takes her prefix minus the last object; the rest recurse.
     Rather than renormalise the rest to total 1, each agent keeps her row's
-    prefix sums and a remaining mass, shrunk by 1 - C_i per served bundle.
+    integer prefix sums over its common denominator and a remaining mass,
+    shrunk by 1 - C_i per served bundle.
     """
     n, m = ordered.n, ordered.m
-    prefix = [list(accumulate(row.values, initial=F(0))) for row in ordered.profile]
+    ints, denom = zip(*(row.scaled() for row in ordered.profile))
+    prefix = [list(accumulate(r, initial=0)) for r in ints]
     mass = [F(1)] * n
 
     def value(i: int, a: int, b: int) -> Fraction:
         """Agent i's renormalised value of positions [a, b)."""
-        return (prefix[i][b] - prefix[i][a]) / mass[i] if mass[i] else F(0)
+        return F(prefix[i][b] - prefix[i][a], denom[i]) / mass[i] if mass[i] else F(0)
 
     bundles = [frozenset()] * n
     levels: list[KnifeLevel] = []
@@ -110,7 +112,7 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
         alphas = {i: value(i, s, min(s + 1, m)) for i in active}
         caps = {i: guarantee(n_, alphas[i]) for i in active}
         # the first knife length at which each agent exceeds her cap
-        stops = {i: bisect_right(prefix[i], prefix[i][s] + mass[i] * caps[i], s) - s
+        stops = {i: bisect_right(prefix[i], prefix[i][s] + mass[i] * caps[i] * denom[i], s) - s
                  for i in active}
         t = max(stops.values())
         served = next(i for i in active if stops[i] == t)
@@ -153,7 +155,7 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     for i, b in enumerate(ordered_alloc.bundles):
         for pos in b:
             owner[pos] = i
-    cheapest = [iter(sorted(range(m), key=row.values.__getitem__))
+    cheapest = [iter(sorted(range(m), key=row.scaled()[0].__getitem__))
                 for row in red.original.profile]
     taken: set[int] = set()
     real: list[set[int]] = [set() for _ in range(ordered_alloc.n)]

@@ -4,7 +4,8 @@ interval-region classification.
 All quantities are `fractions.Fraction`; no share or region boundary is ever
 decided in floating point.  Disutility profiles are normalised so that each
 agent's total is exactly 1 (rows whose original total is 0 are kept as
-flagged all-zero rows).
+flagged all-zero rows).  Values stay `Fraction`s; every sum, sort and check
+of a row runs on its integer view over one denominator, `DisutilityVector.scaled`.
 """
 
 from __future__ import annotations
@@ -25,14 +26,20 @@ class DomainError(ValueError):
 
 
 def as_fraction(x) -> Fraction:
-    """Convert ints, Fractions, floats and strings ('7/20', '0.35') exactly."""
+    """Convert ints, Fractions, floats and strings ('7/20', '0.35') exactly.
+
+    A zero denominator ('1/0') is a ValueError, like any other malformed input.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         # floats are converted through their shortest repr so that "0.35"
         # round-trips to 7/20 rather than the binary expansion
         return Fraction(repr(x))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -47,10 +54,18 @@ class DisutilityVector:
     normalized: bool = False
 
     def __post_init__(self):
-        if any(v < 0 for v in self.values):
+        ints, denom = self.scaled()
+        if any(x < 0 for x in ints):
             raise ValidationError("negative disutility entry")
-        if self.normalized and sum(self.values) != 1:
+        if self.normalized and sum(ints) != denom:
             raise ValidationError("normalized vector must sum to exactly 1")
+
+    def scaled(self) -> tuple[list[int], int]:
+        """(ints, d) with d the least common denominator and values[j] == ints[j]/d."""
+        denom = 1
+        for d in {x.denominator for x in self.values}:
+            denom = math.lcm(denom, d)
+        return [x.numerator * (denom // x.denominator) for x in self.values], denom
 
     @property
     def m(self) -> int:
@@ -61,10 +76,11 @@ class DisutilityVector:
         return max(self.values, default=Fraction(0))
 
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        return self.value_of(range(self.m))
 
     def value_of(self, bundle: Iterable[int]) -> Fraction:
-        return sum((self.values[e] for e in bundle), Fraction(0))
+        ints, denom = self.scaled()
+        return Fraction(sum(ints[e] for e in bundle), denom)
 
 
 @dataclass(frozen=True)
@@ -131,13 +147,12 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
         raise ValidationError("ragged matrix")
     profile = []
     for r in rows:
-        if any(x < 0 for x in r):
-            raise ValidationError("negative disutility entry")
-        total = sum(r, Fraction(0))
-        if total == 0:
-            profile.append(DisutilityVector(r, normalized=False))
-        else:
-            profile.append(DisutilityVector(tuple(x / total for x in r), normalized=True))
+        row = DisutilityVector(r)
+        ints, _ = row.scaled()
+        total = sum(ints)
+        if total:
+            row = DisutilityVector(tuple(Fraction(x, total) for x in ints), normalized=True)
+        profile.append(row)
     return Instance(tuple(profile))
 
 
@@ -147,7 +162,7 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     ``perm[p]`` is the original index of the value at sorted position p.
     Ties keep original index order (stable).
     """
-    perm = tuple(sorted(range(v.m), key=v.values.__getitem__, reverse=True))
+    perm = tuple(sorted(range(v.m), key=v.scaled()[0].__getitem__, reverse=True))
     ordered = DisutilityVector(tuple(v.values[j] for j in perm), v.normalized)
     return ordered, perm
 
@@ -216,22 +231,16 @@ def _check_cell_size(tok: str) -> None:
         raise ValueError(f"entry has more than {limit} digits")
 
 
-def _row_printable(values: Sequence[Fraction]) -> bool:
+def _row_printable(row: DisutilityVector) -> bool:
     """Whether every number printed for a normalised row fits the int-to-str limit.
 
     Its entries and bundle costs are at most 1 and have denominators dividing
     the row's common denominator, so bounding that bounds them all.
     """
     limit = sys.get_int_max_str_digits()
-    if not limit:
-        return True
-    common = 1
-    for d in {x.denominator for x in values}:
-        common = math.lcm(common, d)
-        # below 8**limit it is short enough, so 10**limit is rarely built
-        if common.bit_length() > 3 * limit and common >= 10 ** limit:
-            return False
-    return True
+    _, denom = row.scaled()
+    # below 8**limit it is short enough, so 10**limit is rarely built
+    return not limit or denom.bit_length() <= 3 * limit or denom < 10 ** limit
 
 
 def parse_instance_csv(text: str) -> Instance:
@@ -252,7 +261,7 @@ def parse_instance_csv(text: str) -> Instance:
             for t in toks:
                 _check_cell_size(t)
             row = [as_fraction(t) for t in toks]
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
         if any(x < 0 for x in row):
             raise ValidationError(f"line {lineno}: negative entry")
@@ -261,7 +270,7 @@ def parse_instance_csv(text: str) -> Instance:
         raise ValidationError("instance file has a header but no agent rows")
     inst = normalize(rows)
     for (lineno, _), row in zip(lines[1:], inst.profile):
-        if not _row_printable(row.values):
+        if not _row_printable(row):
             raise ValidationError(f"line {lineno}: normalised row too long to print")
     return inst
 

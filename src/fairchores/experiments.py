@@ -110,11 +110,13 @@ def run_histogram(cfg: ExperimentConfig) -> RatioHistogram:
 def curve_samples(n: int, grid, m=None) -> list[tuple]:
     """Rows (alpha, delta_upper, delta_lower, guarantee, ratio) for plotting.
 
-    n < 2 is rejected outright; grid points outside a formula's domain
-    (e.g. m < ceil(1/alpha)) are skipped with a warning.
+    n < 2 and m < 2 are rejected outright; grid points outside a formula's
+    domain (e.g. m < ceil(1/alpha)) are skipped with a warning.
     """
     if n < 2:
         raise DomainError("need an integer agent count n >= 2")
+    if m is not None and m < 2:
+        raise DomainError("need an object count m >= 2")
     rows = []
     for a in grid:
         alpha = as_fraction(a)
@@ -122,7 +124,7 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
             up = hill_share(n, alpha, m)
             lo = mms_lower_bound(n, alpha, m)
             g = guarantee(n, alpha)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             warnings.warn(f"skipping alpha={alpha}: {exc}")
             continue
         rows.append((alpha, up, lo, g, up / lo))

@@ -1,14 +1,13 @@
 """Exact MinMaxShare oracle.
 
 A depth-first branch-and-bound over descending-sorted objects computes the
-exact min-max n-partition value.  All pruning happens on integers: the
-rational entries are scaled by the LCM of their denominators first, so no
-incomparable sums occur inside the search.
+exact min-max n-partition value.  All pruning happens on integers: the search
+runs on the row's integer view (`DisutilityVector.scaled`, the entries over
+their least common denominator), so no `Fraction` sum occurs inside it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -19,11 +18,6 @@ F = Fraction
 
 class SearchLimitError(RuntimeError):
     """Instance exceeds the oracle's scale guard; pass higher limits to override."""
-
-
-def _integerize(values: list[Fraction]) -> tuple[list[int], int]:
-    denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * denom) for v in values], denom
 
 
 def _greedy_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
@@ -89,24 +83,23 @@ def minmax_partition(
     """
     if n < 1:
         raise ValidationError("need n >= 1")
-    vals = v.values
-    idx = [j for j, x in enumerate(vals) if x > 0]
-    zeros = [j for j, x in enumerate(vals) if x == 0]
+    ints, denom = v.scaled()
+    idx = [j for j, x in enumerate(ints) if x > 0]
+    zeros = [j for j, x in enumerate(ints) if x == 0]
     if len(idx) > max_objects or n > max_agents:
         raise SearchLimitError(
             f"{len(idx)} nonzero objects / {n} agents exceeds the scale "
             f"guard ({max_objects} objects, {max_agents} agents); raise the "
             "limits explicitly to search anyway"
         )
-    idx.sort(key=vals.__getitem__, reverse=True)
-    ints, denom = _integerize([vals[j] for j in idx])
+    idx.sort(key=ints.__getitem__, reverse=True)
     bundles = [set() for _ in range(n)]
-    if len(ints) <= n:
+    if len(idx) <= n:
         for pos, j in enumerate(idx):
             bundles[pos].add(j)
-        value = vals[idx[0]] if idx else F(0)
+        value = v.values[idx[0]] if idx else F(0)
     else:
-        opt, assign = _bnb_min_makespan(ints, n)
+        opt, assign = _bnb_min_makespan([ints[j] for j in idx], n)
         value = F(opt, denom)
         for pos, b in enumerate(assign):
             bundles[b].add(idx[pos])
@@ -150,12 +143,13 @@ def lex_minmax(v: DisutilityVector, n: int, *, max_objects: int = 12) -> Allocat
     m = v.m
     if m > max_objects:
         raise SearchLimitError(f"{m} objects exceeds the enumeration guard {max_objects}")
+    ints, _ = v.scaled()
     best_key: Optional[tuple] = None
     best_rgs: Optional[tuple[int, ...]] = None
     for rgs in _growth_strings(m, n):
-        loads = [F(0)] * n
+        loads = [0] * n
         for j, b in enumerate(rgs):
-            loads[b] += v.values[j]
+            loads[b] += ints[j]
         key = tuple(sorted(loads, reverse=True))
         if best_key is None or (key, rgs) < (best_key, best_rgs):
             best_key, best_rgs = key, rgs

@@ -137,7 +137,7 @@ def _witness(values: list[Fraction], alpha: Fraction, m: Optional[int],
         pad = m - len(values)
         assert pad >= 0, "construction larger than requested m"
         values = values + [F(0)] * pad
-    assert sum(values) == 1 and max(values) == alpha
+    assert max(values) == alpha
     vec = DisutilityVector(tuple(values), normalized=True)
     inst = Instance((vec,))
     return WitnessInstance(inst, claimed, tag)

@@ -173,6 +173,18 @@ class TestInputChecks:
             code, out, err = run(capsys, "experiment", "curve", "--n", n, "--points", "3")
             assert code == 2 and out == "" and "n >= 2" in err, n
 
+    def test_curve_rejects_fewer_than_two_objects(self, capsys):
+        for m in ("1", "0", "-3"):
+            code, out, err = run(capsys, "experiment", "curve", "--n", "2", "--points", "2",
+                                 "--m", m)
+            assert code == 2 and out == "" and "m >= 2" in err, m
+
+    def test_zero_denominator_alpha_is_a_usage_error(self, capsys):
+        for argv in (("share", "--n", "2", "--alpha", "1/0", "--kind", "upper"),
+                     ("witness", "--n", "2", "--alpha", "1/0")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+
     def test_verify_names_the_bad_allocation_line(self, capsys, tmp_path):
         inst = tmp_path / "i.csv"
         inst.write_text("object_1,object_2,object_3\n1,1,1\n1,2,3\n")

@@ -48,6 +48,24 @@ def test_normalize_rejects_negative_and_ragged():
         normalize([[1, 2], [1]])
 
 
+def test_vector_checks_reject_bad_rows():
+    with pytest.raises(ValidationError):
+        DisutilityVector((F(1, 2), F(1, 3)), True)
+    with pytest.raises(ValidationError):
+        DisutilityVector((F(3, 2), F(-1, 2)), True)
+    with pytest.raises(ValidationError):
+        DisutilityVector((F(1, 2), F(-1, 7), 2))
+
+
+def test_scaled_is_exact_over_least_common_denominator():
+    values = (F(1, 4), F(0), F(1, 6), F(1, 4), F(0), F(1, 3))
+    v = DisutilityVector(values, True)
+    ints, d = v.scaled()
+    assert d == 12 and ints == [3, 0, 2, 3, 0, 4]
+    assert all(F(ints[j], d) == values[j] for j in range(len(values)))
+    assert DisutilityVector((F(0), F(0))).scaled() == ([0, 0], 1)
+
+
 def test_order_vector_stable():
     v = DisutilityVector((F(1, 10), F(2, 5), F(1, 2)), True)
     o, perm = order_vector(v)
