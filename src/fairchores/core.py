@@ -2,10 +2,13 @@
 interval-region classification.
 
 All quantities are `fractions.Fraction`; no share or region boundary is ever
-decided in floating point.  Disutility profiles are normalised so that each
-agent's total is exactly 1 (rows whose original total is 0 are kept as
-flagged all-zero rows).  Values stay `Fraction`s; every sum, sort and check
-of a row runs on its integer view over one denominator, `DisutilityVector.scaled`.
+decided in floating point.  A region is decided on integers: `_bracket` reads
+alpha's numerator p and denominator q, and every bracket and split test is a
+cross-multiplication of p and q, so no `Fraction` is built to classify.
+Disutility profiles are normalised so that each agent's total is exactly 1
+(rows whose original total is 0 are kept as flagged all-zero rows).  Values
+stay `Fraction`s; every sum, sort and check of a row runs on its integer view
+over one denominator, `DisutilityVector.scaled`.
 """
 
 from __future__ import annotations
@@ -167,9 +170,16 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     return ordered, perm
 
 
-def _bracket_k(n: int, alpha: Fraction) -> int:
-    # both interval families tile (1/((k+1)n+1), 1/(kn+1)]
-    return int((Fraction(1) / alpha - 1) // n)
+def _bracket(n: int, alpha) -> tuple[int, int, int]:
+    """(k, p, q) with alpha = p/q in the bracket (1/((k+1)n+1), 1/(kn+1)] that
+    both interval families tile; rejects n < 2 and alpha outside (0, 1]."""
+    alpha = as_fraction(alpha)
+    if not isinstance(n, int) or n < 2:
+        raise DomainError("need at least 2 agents")
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 < p <= q:
+        raise DomainError(f"alpha={alpha} outside (0, 1]")
+    return (q - p) // (n * p), p, q
 
 
 def classify_theorem1(n: int, alpha) -> RegionIndex:
@@ -178,14 +188,8 @@ def classify_theorem1(n: int, alpha) -> RegionIndex:
     D(n,k) = (1/(kn+n+1), (k+2)/(n(k+1)^2+k+2)],
     I(n,k) = ((k+2)/(n(k+1)^2+k+2), 1/(kn+1)].
     """
-    alpha = as_fraction(alpha)
-    if n < 2:
-        raise DomainError("need at least 2 agents")
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha={alpha} outside (0, 1]")
-    k = _bracket_k(n, alpha)
-    split = Fraction(k + 2, n * (k + 1) ** 2 + k + 2)
-    return RegionIndex(k, "D" if alpha <= split else "I")
+    k, p, q = _bracket(n, alpha)
+    return RegionIndex(k, "D" if p * (n * (k + 1) ** 2 + k + 2) <= q * (k + 2) else "I")
 
 
 def classify_guarantee(n: int, alpha) -> RegionIndex:
@@ -194,19 +198,14 @@ def classify_guarantee(n: int, alpha) -> RegionIndex:
     NI(n,k) = (1/((k+1)n+1), (k+2)/((k+1)((k+1)n+1))),
     IV(n,k) = [(k+2)/((k+1)((k+1)n+1)), 1/(kn+1)]  (closed on the left).
     """
-    alpha = as_fraction(alpha)
-    if n < 2:
-        raise DomainError("need at least 2 agents")
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha={alpha} outside (0, 1]")
-    k = _bracket_k(n, alpha)
-    split = Fraction(k + 2, (k + 1) * ((k + 1) * n + 1))
-    return RegionIndex(k, "NI" if alpha < split else "IV")
+    k, p, q = _bracket(n, alpha)
+    return RegionIndex(k, "NI" if p * (k + 1) * ((k + 1) * n + 1) < q * (k + 2) else "IV")
 
 
 def ceil_inv(alpha: Fraction) -> int:
     """Smallest feasible object count for a normalised vector with max alpha."""
-    return math.ceil(Fraction(1) / alpha)
+    alpha = as_fraction(alpha)
+    return -(-alpha.denominator // alpha.numerator)
 
 
 # ---------------------------------------------------------------------------

@@ -86,23 +86,23 @@ def minmax_partition(
     ints, denom = v.scaled()
     idx = [j for j, x in enumerate(ints) if x > 0]
     zeros = [j for j, x in enumerate(ints) if x == 0]
-    if len(idx) > max_objects or n > max_agents:
+    idx.sort(key=ints.__getitem__, reverse=True)
+    if len(idx) <= n:
+        # one object per bundle; no search runs, so the guard does not apply
+        assign = range(len(idx))
+        value = v.values[idx[0]] if idx else F(0)
+    elif len(idx) > max_objects or n > max_agents:
         raise SearchLimitError(
             f"{len(idx)} nonzero objects / {n} agents exceeds the scale "
             f"guard ({max_objects} objects, {max_agents} agents); raise the "
             "limits explicitly to search anyway"
         )
-    idx.sort(key=ints.__getitem__, reverse=True)
-    bundles = [set() for _ in range(n)]
-    if len(idx) <= n:
-        for pos, j in enumerate(idx):
-            bundles[pos].add(j)
-        value = v.values[idx[0]] if idx else F(0)
     else:
         opt, assign = _bnb_min_makespan([ints[j] for j in idx], n)
         value = F(opt, denom)
-        for pos, b in enumerate(assign):
-            bundles[b].add(idx[pos])
+    bundles = [set() for _ in range(n)]
+    for pos, b in enumerate(assign):
+        bundles[b].add(idx[pos])
     bundles[0].update(zeros)
     return value, Allocation(tuple(frozenset(b) for b in bundles))
 

@@ -9,7 +9,6 @@ is rejected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -83,10 +82,11 @@ def _upper_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, int, F
 
 def _lower_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, int, Fraction]:
     """(construction tag, k = floor(1/(n alpha)), value) of the best-case bound."""
-    if alpha > F(1, n):
+    p, q = alpha.numerator, alpha.denominator
+    if n * p > q:
         return "singleton-cover", 0, alpha
-    k = int(F(1) // (n * alpha))
-    if alpha == F(1, k * n):
+    k = q // (n * p)
+    if k * n * p == q:
         return "even-split", k, F(1, n)
     # 1/((k+1)n) < alpha < 1/(kn)
     if m is None or m >= k * n + n:
@@ -114,15 +114,17 @@ def mms_lower_bound(n: int, alpha, m: Optional[int] = None) -> Fraction:
 def guarantee(n: int, alpha) -> Fraction:
     """Monotone cover of the unrestricted tight share: the best per-agent cap.
 
-    Defined on [0, 1]; guarantee(n, 0) = 1/n is the common limit of both
-    branch formulas (needed when recursion renormalises an agent to an
-    all-zero row), and guarantee(n, 1) = 1.
+    Defined for integer n >= 1 and alpha in [0, 1]; guarantee(n, 0) = 1/n is
+    the common limit of both branch formulas (needed when recursion
+    renormalises an agent to an all-zero row), and guarantee(n, 1) = 1.
     """
     alpha = as_fraction(alpha)
-    if n == 1:
-        return F(1)
+    if not isinstance(n, int) or n < 1:
+        raise DomainError("need an integer agent count n >= 1")
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha={alpha} outside [0, 1]")
+    if n == 1:
+        return F(1)
     if alpha == 0:
         return F(1, n)
     reg = classify_guarantee(n, alpha)
@@ -209,4 +211,5 @@ def high_ratio_ranges(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def natural_object_count(alpha) -> int:
     """Object count past which the worst-case share is constant: ceil(2/alpha)-1."""
-    return math.ceil(F(2) / as_fraction(alpha)) - 1
+    alpha = as_fraction(alpha)
+    return -(-2 * alpha.denominator // alpha.numerator) - 1

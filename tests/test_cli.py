@@ -155,6 +155,22 @@ class TestInputChecks:
                              "--m", "2", "--kind", "guarantee")
         assert code == 2 and out == "" and "--m" in err
 
+    def test_guarantee_domain_is_a_usage_error(self, capsys):
+        for n, alpha in (("-2", "0"), ("0", "0"), ("1", "3/2"), ("1", "-1/2")):
+            code, out, err = run(capsys, "share", "--n", n, f"--alpha={alpha}",
+                                 "--kind", "guarantee")
+            assert code == 2 and out == "" and err.startswith("error:"), (n, alpha)
+
+    def test_few_objects_need_no_search_past_the_agent_guard(self, capsys, tmp_path):
+        # 3 nonzero objects and 11 > 10 agents: one object per bundle, no search
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2,object_3,object_4\n1/2,3/10,1/5,0\n")
+        code, out, err = run(capsys, "mms", "--instance", str(inst), "--n", "11")
+        assert code == 0 and out.startswith("1/2 (0.5)"), err
+        code, out, err = run(capsys, "experiment", "ratios", "--instance", str(inst),
+                             "--n", "11")
+        assert code == 0 and out.splitlines()[2] == "11,4,1/2,1/2,1/2,1", err
+
     def test_huge_cell_rejected_before_allocating(self, capsys, tmp_path):
         inst = tmp_path / "i.csv"
         inst.write_text("object_1,object_2\n1,1\n1e200000,1\n")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from fairchores.core import (
     DisutilityVector,
+    DomainError,
     ValidationError,
     as_fraction,
     ceil_inv,
@@ -98,9 +99,7 @@ def test_classify_guarantee_examples():
     assert classify_guarantee(2, F(2, 3)).tag == "IV"
 
 
-@given(st.integers(2, 8),
-       st.fractions(min_value=F(1, 1000), max_value=1))
-def test_region_families_tile(n, alpha):
+def _check_regions(n, alpha):
     r = classify_theorem1(n, alpha)
     k = r.k
     assert F(1, (k + 1) * n + 1) < alpha <= F(1, k * n + 1)
@@ -112,10 +111,37 @@ def test_region_families_tile(n, alpha):
     assert (g.tag == "NI") == (alpha < gsplit)
 
 
+@given(st.integers(2, 8),
+       st.fractions(min_value=F(1, 1000), max_value=1))
+def test_region_families_tile(n, alpha):
+    _check_regions(n, alpha)
+
+
+def test_region_breakpoints_at_large_k():
+    """Every bracket end and split for n <= 60, k <= 30, and its 1e-12
+    neighbours: random sampling rarely lands on a breakpoint."""
+    eps = F(1, 10 ** 12)
+    for n in range(2, 61):
+        for k in range(31):
+            for b in (F(1, k * n + 1),                          # bracket end
+                      F(k + 2, n * (k + 1) ** 2 + k + 2),        # D/I split
+                      F(k + 2, (k + 1) * ((k + 1) * n + 1))):    # NI/IV split
+                for a in (b - eps, b, b + eps):
+                    if a <= 1:
+                        _check_regions(n, a)
+
+
+def test_classifiers_reject_non_integer_n():
+    for classify in (classify_theorem1, classify_guarantee):
+        with pytest.raises(DomainError):
+            classify(F(5, 2), F(1, 3))
+
+
 def test_ceil_inv():
     assert ceil_inv(F(3, 10)) == 4
     assert ceil_inv(F(1, 3)) == 3
     assert ceil_inv(F(1)) == 1
+    assert ceil_inv(0.3) == 4
 
 
 def test_csv_round_trip():

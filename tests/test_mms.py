@@ -51,6 +51,13 @@ class TestExactMMS:
         # explicit limit raise is honored
         assert exact_mms(big, 2, max_objects=30) == F(1, 2)
 
+    def test_no_search_case_answered_before_scale_guard(self):
+        # at most n nonzero objects: one object per bundle, whatever the guard
+        val, alloc = minmax_partition(vec("1/2", "3/10", "1/5", 0), 11)
+        assert val == F(1, 2) and alloc.n == 11
+        alloc.validate(4)
+        assert exact_mms(DisutilityVector((F(1, 30),) * 30), 30) == F(1, 30)
+
     def test_matches_naive_oracle(self):
         rng = random.Random(7)
         for _ in range(200):

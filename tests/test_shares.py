@@ -82,6 +82,13 @@ class TestGuarantee:
         assert guarantee(2, 1) == 1
         assert guarantee(1, F(1, 2)) == 1
 
+    def test_domain_errors(self):
+        # alpha is checked for every n, n == 1 included; n must be an integer >= 1
+        for n, a in [(1, F(3, 2)), (1, F(-1, 2)), (2, F(3, 2)), (-2, 0), (0, 0),
+                     (0, F(1, 2)), (F(5, 2), F(1, 3)), (2.0, F(1, 3))]:
+            with pytest.raises(DomainError):
+                guarantee(n, a)
+
     def test_monotone_hull_on_grid(self):
         # V_n(alpha) = max over beta <= alpha of the unrestricted share.
         # Each bracket's supremum is attained at a point 1/(jn+1), so adding
