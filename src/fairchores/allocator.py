@@ -172,12 +172,17 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
     red = reduce_to_ordered(inst)
     ordered_alloc, trace = moving_knife(red.ordered)
     real = lift_allocation(red, ordered_alloc)
+    return real, AllocationReport(agent_reports(inst, real), trace)
+
+
+def agent_reports(inst: Instance, alloc: Allocation) -> tuple[AgentReport, ...]:
+    """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap."""
     reports = []
     for i, row in enumerate(inst.profile):
-        alpha, cost = row.alpha(), row.value_of(real.bundles[i])
+        alpha, cost = row.alpha(), row.value_of(alloc.bundles[i])
         cap = guarantee(inst.n, alpha)
         reports.append(AgentReport(i, alpha, cap, cost, cost <= cap))
-    return real, AllocationReport(tuple(reports), trace)
+    return tuple(reports)
 
 
 def allocate_two_agents_tight(inst: Instance) -> Allocation:

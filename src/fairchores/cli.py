@@ -13,11 +13,12 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .allocator import allocate
+from .allocator import agent_reports, allocate
 from .core import (
     Allocation,
     DomainError,
     ValidationError,
+    _row_printable,
     as_fraction,
     format_decimal,
     format_instance_csv,
@@ -215,17 +216,13 @@ def _dispatch(args) -> int:
     if args.cmd == "verify":
         inst = read_instance_csv(args.instance)
         alloc = _parse_allocation_file(args.allocation, inst.n, inst.m)
-        ok = True
-        lines = []
-        for i, row in enumerate(inst.profile):
-            cap = guarantee(inst.n, row.alpha())
-            cost = row.value_of(alloc.bundles[i])
-            good = cost <= cap
-            ok = ok and good
-            lines.append(
-                f"agent {i + 1}: disutility {_show(cost)} guarantee {_show(cap)} "
-                f"{'ok' if good else 'VIOLATED'}"
-            )
+        reports = agent_reports(inst, alloc)
+        ok = all(rep.satisfied for rep in reports)
+        lines = [
+            f"agent {rep.agent + 1}: disutility {_show(rep.cost)} guarantee {_show(rep.cap)} "
+            f"{'ok' if rep.satisfied else 'VIOLATED'}"
+            for rep in reports
+        ]
         lines.append("all guarantees satisfied" if ok else "guarantee violation found")
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if ok else 1
@@ -250,7 +247,17 @@ def _dispatch(args) -> int:
         return 0
 
     # ratios
-    records = [instance_ratio(v, args.n) for v in read_instance_csv(args.instance).profile]
+    inst = read_instance_csv(args.instance)
+    for i, row in enumerate(inst.profile, start=1):
+        # Let D be the row's common denominator and alpha = p/q, so q divides
+        # D.  Every hill share is u/(c*q) with u <= c*q (it is at most 1),
+        # where c is 4 or 5 on the two-agent pieces, (k+1)n <= m-1 on
+        # one-heavy-balanced and 1 elsewhere.  The MMS is y/D with y <= D, so
+        # the ratio is u*(D/q) / (c*y).  Both have numerator and denominator
+        # at most c*D <= max(5, m)*D.
+        if not _row_printable(row, max(5, inst.m)):
+            raise ValidationError(f"row {i}: hill share or ratio too long to print")
+    records = [instance_ratio(v, args.n) for v in inst.profile]
     _emit(records_csv(records, f"n={args.n} source={args.instance}"), args.out)
     return 0
 

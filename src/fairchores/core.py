@@ -57,11 +57,12 @@ class DisutilityVector:
     normalized: bool = False
 
     def __post_init__(self):
-        ints, denom = self.scaled()
-        if any(x < 0 for x in ints):
+        if any(x.numerator < 0 for x in self.values):
             raise ValidationError("negative disutility entry")
-        if self.normalized and sum(ints) != denom:
-            raise ValidationError("normalized vector must sum to exactly 1")
+        if self.normalized:
+            ints, denom = self.scaled()
+            if sum(ints) != denom:
+                raise ValidationError("normalized vector must sum to exactly 1")
 
     def scaled(self) -> tuple[list[int], int]:
         """(ints, d) with d the least common denominator and values[j] == ints[j]/d."""
@@ -230,14 +231,16 @@ def _check_cell_size(tok: str) -> None:
         raise ValueError(f"entry has more than {limit} digits")
 
 
-def _row_printable(row: DisutilityVector) -> bool:
+def _row_printable(row: DisutilityVector, factor: int = 1) -> bool:
     """Whether every number printed for a normalised row fits the int-to-str limit.
 
     Its entries and bundle costs are at most 1 and have denominators dividing
-    the row's common denominator, so bounding that bounds them all.
+    the row's common denominator D, so bounding D bounds them all.  A caller
+    printing numbers whose numerator and denominator are at most factor*D
+    passes that factor.
     """
     limit = sys.get_int_max_str_digits()
-    _, denom = row.scaled()
+    denom = row.scaled()[1] * factor
     # below 8**limit it is short enough, so 10**limit is rarely built
     return not limit or denom.bit_length() <= 3 * limit or denom < 10 ** limit
 
@@ -281,7 +284,7 @@ def read_instance_csv(path) -> Instance:
 
 def format_decimal(x: Fraction, places: int = 12) -> str:
     """Exact fraction rendered to `places` decimals (round half up)."""
-    q = Fraction(x)
+    q = as_fraction(x)
     s = f"{math.floor(abs(q) * 10 ** places + Fraction(1, 2)):0{places + 1}d}"
     body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".")
     return ("-" if q < 0 else "") + body

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, DisutilityVector, ValidationError
+from .core import Allocation, DisutilityVector, ValidationError, as_fraction
 
 F = Fraction
 
@@ -114,7 +114,7 @@ def exact_mms(v: DisutilityVector, n: int, **limits) -> Fraction:
 
 def fits_under(v: DisutilityVector, n: int, threshold) -> bool:
     """True iff some n-partition keeps every bundle at or below threshold."""
-    return exact_mms(v, n) <= Fraction(threshold)
+    return exact_mms(v, n) <= as_fraction(threshold)
 
 
 def _growth_strings(m: int, n: int):

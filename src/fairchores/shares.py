@@ -4,7 +4,9 @@ guarantee, and the witness instances certifying that the bounds are tight.
 ``m=None`` everywhere means "number of objects unrestricted".  All values are
 exact Fractions; a finite-m query must satisfy m >= ceil(1/alpha), otherwise
 the class of normalised vectors with max entry alpha is empty and the query
-is rejected.
+is rejected.  Each piece of a bound gives its witness as two integers (a, b):
+a objects at alpha, the remainder 1 - a*alpha split evenly over b objects,
+and zeros up to m.
 """
 
 from __future__ import annotations
@@ -54,44 +56,46 @@ def _validate(n: int, alpha: Fraction, m: Optional[int]) -> None:
             )
 
 
-def _upper_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, int, Fraction]:
-    """(construction tag, bracket k, value) of the tight upper bound.
+def _upper_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, Fraction, int, int]:
+    """(construction tag, value, a, b) of the tight upper bound.
 
     The single branch tree of the bound: hill_share reads the value and
-    witness_upper builds the vector that the tag names.
+    witness_upper builds the vector from a and b (see _witness).
     """
     reg = classify_theorem1(n, alpha)
     k = reg.k
     if n == 2 and k == 1:
         # three-step piece on (1/5, 1/3]; m < 6 cuts it short
         if m == 3:  # feasibility forces alpha = 1/3
-            return "two-agent-m3", k, F(2, 3)
+            return "two-agent-m3", F(2, 3), ceil_inv(alpha) - 1, 1
         if m == 4:
-            return "two-agent-m4", k, 2 * alpha
+            return "two-agent-m4", 2 * alpha, ceil_inv(alpha) - 1, 1
         if alpha <= (F(3, 11) if m == 5 else F(7, 27)):
-            return "two-agent-low", k, F(3, 4) * (1 - alpha)
+            return "two-agent-low", F(3, 4) * (1 - alpha), 1, 4
         if m == 5 or alpha > F(2, 7):
-            return "two-agent-high", k, 2 * alpha
-        return "two-agent-mid", k, alpha + F(2, 5) * (1 - alpha)
+            return "two-agent-high", 2 * alpha, 3, 1
+        return "two-agent-mid", alpha + F(2, 5) * (1 - alpha), 1, 5
     if reg.tag == "D" and (m is None or m >= k * n + n + 1):
-        return "one-heavy-balanced", k, F(k + 2, k + 1) * (1 - alpha) / n
+        return "one-heavy-balanced", F(k + 2, k + 1) * (1 - alpha) / n, 1, n * (k + 1)
     # restricted-m D branch and every I branch
-    tag = "alpha-heavy" if reg.tag == "I" and m is None else "alpha-block"
-    return tag, k, (k + 1) * alpha
+    if reg.tag == "I" and m is None:
+        return "alpha-heavy", (k + 1) * alpha, k * n + 1, n - 1
+    return "alpha-block", (k + 1) * alpha, ceil_inv(alpha) - 1, 1
 
 
-def _lower_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, int, Fraction]:
-    """(construction tag, k = floor(1/(n alpha)), value) of the best-case bound."""
+def _lower_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, Fraction, int, int]:
+    """(construction tag, value, a, b) of the best-case bound; k = floor(1/(n alpha))."""
     p, q = alpha.numerator, alpha.denominator
     if n * p > q:
-        return "singleton-cover", 0, alpha
+        return "singleton-cover", alpha, -(-q // p) - 1, 1
     k = q // (n * p)
     if k * n * p == q:
-        return "even-split", k, F(1, n)
+        return "even-split", F(1, n), k * n - 1, 1
     # 1/((k+1)n) < alpha < 1/(kn)
     if m is None or m >= k * n + n:
-        return "even-split-remainders", k, F(1, n)
-    return "tight-remainders", k, k * alpha + (1 - k * n * alpha) / (m - k * n)
+        return "even-split-remainders", F(1, n), k * n, n
+    return ("tight-remainders", k * alpha + (1 - k * n * alpha) / (m - k * n),
+            k * n, m - k * n)
 
 
 def hill_share(n: int, alpha, m: Optional[int] = None) -> Fraction:
@@ -101,14 +105,14 @@ def hill_share(n: int, alpha, m: Optional[int] = None) -> Fraction:
     """
     alpha = as_fraction(alpha)
     _validate(n, alpha, m)
-    return _upper_piece(n, alpha, m)[2]
+    return _upper_piece(n, alpha, m)[1]
 
 
 def mms_lower_bound(n: int, alpha, m: Optional[int] = None) -> Fraction:
     """Minimum MMS_n over normalised vectors with max entry alpha (exact)."""
     alpha = as_fraction(alpha)
     _validate(n, alpha, m)
-    return _lower_piece(n, alpha, m)[2]
+    return _lower_piece(n, alpha, m)[1]
 
 
 def guarantee(n: int, alpha) -> Fraction:
@@ -133,57 +137,28 @@ def guarantee(n: int, alpha) -> Fraction:
     return (reg.k + 1) * alpha
 
 
-def _witness(values: list[Fraction], alpha: Fraction, m: Optional[int],
-             claimed: Fraction, tag: str) -> WitnessInstance:
+def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
+    alpha = as_fraction(alpha)
+    _validate(n, alpha, m)
+    tag, claimed, a, b = piece(n, alpha, m)
+    values = [alpha] * a + [(1 - a * alpha) / b] * b
     if m is not None:
         pad = m - len(values)
         assert pad >= 0, "construction larger than requested m"
-        values = values + [F(0)] * pad
+        values += [F(0)] * pad
     assert max(values) == alpha
     vec = DisutilityVector(tuple(values), normalized=True)
-    inst = Instance((vec,))
-    return WitnessInstance(inst, claimed, tag)
-
-
-def _alpha_block(alpha: Fraction) -> list[Fraction]:
-    # ceil(1/alpha)-1 objects at alpha plus one remainder in (0, alpha]
-    c = ceil_inv(alpha)
-    return [alpha] * (c - 1) + [1 - (c - 1) * alpha]
+    return WitnessInstance(Instance((vec,)), claimed, tag)
 
 
 def witness_upper(n: int, alpha, m: Optional[int] = None) -> WitnessInstance:
     """Worst-case vector whose exact MinMaxShare equals hill_share(n, alpha, m)."""
-    alpha = as_fraction(alpha)
-    _validate(n, alpha, m)
-    tag, k, claimed = _upper_piece(n, alpha, m)
-    if tag in ("two-agent-m3", "two-agent-m4", "alpha-block"):
-        vals = _alpha_block(alpha)
-    elif tag == "two-agent-low":
-        vals = [alpha] + [(1 - alpha) / 4] * 4
-    elif tag == "two-agent-mid":
-        vals = [alpha] + [(1 - alpha) / 5] * 5
-    elif tag == "two-agent-high":
-        vals = [alpha] * 3 + [1 - 3 * alpha]
-    elif tag == "one-heavy-balanced":
-        q = n * (k + 1)
-        vals = [alpha] + [(1 - alpha) / q] * q
-    else:  # alpha-heavy
-        vals = [alpha] * (k * n + 1) + [(1 - (k * n + 1) * alpha) / (n - 1)] * (n - 1)
-    return _witness(vals, alpha, m, claimed, tag)
+    return _witness(n, alpha, m, _upper_piece)
 
 
 def witness_lower(n: int, alpha, m: Optional[int] = None) -> WitnessInstance:
     """Best-case vector whose exact MinMaxShare equals mms_lower_bound(n, alpha, m)."""
-    alpha = as_fraction(alpha)
-    _validate(n, alpha, m)
-    tag, k, claimed = _lower_piece(n, alpha, m)
-    if tag in ("singleton-cover", "even-split"):
-        vals = _alpha_block(alpha)
-    elif tag == "even-split-remainders":
-        vals = [alpha] * (k * n) + [F(1, n) - k * alpha] * n
-    else:  # tight-remainders
-        vals = [alpha] * (k * n) + [(1 - k * n * alpha) / (m - k * n)] * (m - k * n)
-    return _witness(vals, alpha, m, claimed, tag)
+    return _witness(n, alpha, m, _lower_piece)
 
 
 def theoretical_ratio(n: int, alpha, m: Optional[int] = None) -> Fraction:

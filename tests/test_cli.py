@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -170,6 +172,32 @@ class TestInputChecks:
         code, out, err = run(capsys, "experiment", "ratios", "--instance", str(inst),
                              "--n", "11")
         assert code == 0 and out.splitlines()[2] == "11,4,1/2,1/2,1/2,1", err
+
+    @staticmethod
+    def _two_agent_low_row(path, digits):
+        # 5 integers with sum s: alpha = a/s is just above 24/100, so with
+        # n = 2 the hill share is 3(s - a)/(4s), whose denominator 4s has
+        # one digit more than s
+        s = 3 * 10 ** (digits - 1) + 5
+        a = s * 24 // 100 + 1
+        assert s % 2 and (s - a) % 2 and s % 3 and math.gcd(a, s) == 1
+        rest = (s - a) // 4
+        row = [a, rest, rest, rest, s - a - 3 * rest]
+        path.write_text("object_1,object_2,object_3,object_4,object_5\n"
+                        + ",".join(map(str, row)) + "\n")
+        return path
+
+    def test_ratios_rejects_a_hill_share_too_long_to_print(self, capsys, tmp_path):
+        inst = self._two_agent_low_row(tmp_path / "i.csv", sys.get_int_max_str_digits())
+        code, out, err = run(capsys, "experiment", "ratios", "--instance", str(inst),
+                             "--n", "2")
+        assert code == 2 and out == "" and err.startswith("error: row 1:"), err
+
+    def test_ratios_prints_a_row_one_digit_shorter(self, capsys, tmp_path):
+        inst = self._two_agent_low_row(tmp_path / "i.csv", sys.get_int_max_str_digits() - 1)
+        code, out, err = run(capsys, "experiment", "ratios", "--instance", str(inst),
+                             "--n", "2")
+        assert code == 0 and len(out.splitlines()) == 3, err
 
     def test_huge_cell_rejected_before_allocating(self, capsys, tmp_path):
         inst = tmp_path / "i.csv"

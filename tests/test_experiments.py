@@ -127,6 +127,10 @@ class TestDecimalRendering:
         assert format_decimal(F(0)) == "0"
         assert format_decimal(F(4, 3)) == "1.333333333333"
 
+    def test_float_read_as_its_decimal(self):
+        # 0.35 is 7/20 and rounds half up, like the Fraction
+        assert format_decimal(0.35, 1) == format_decimal(F(7, 20), 1) == "0.4"
+
 
 def test_histogram_csv_header():
     cfg = ExperimentConfig(2, (6,), 5, 7)

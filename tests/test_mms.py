@@ -88,6 +88,12 @@ class TestFitsUnder:
         assert not fits_under(v, 2, F(49, 100))
         assert fits_under(v, 2, 1)
 
+    def test_float_threshold_read_as_its_decimal(self):
+        # 0.35 is 7/20, the exact MMS, not the binary value just below it
+        v = vec("7/20", "7/20", "3/10")
+        assert exact_mms(v, 3) == F(7, 20)
+        assert fits_under(v, 3, 0.35)
+
 
 class TestLexMinMax:
     def test_examples(self):

@@ -1,4 +1,4 @@
-"""Pinned share digests: one sha256 per agent count n = 2..7 over everything
+"""Pinned share digests: one sha256 per agent count n = 2..10 over everything
 the closed forms return.
 
 For every alpha = p/q in (0, 1] with q < 40, the digest covers
@@ -26,7 +26,7 @@ from fairchores.core import ceil_inv, classify_guarantee, classify_theorem1
 from fairchores.shares import guarantee, natural_object_count, witness_lower, witness_upper
 
 DIGESTS = Path(__file__).resolve().parent / "share_digests.json"
-AGENTS = range(2, 8)
+AGENTS = range(2, 11)
 
 
 def _show(f, *args) -> str:
