@@ -196,19 +196,10 @@ def allocate_two_agents_tight(inst: Instance) -> Allocation:
     alphas = [row.alpha() for row in inst.profile]
 
     def bound(i: int) -> Fraction:
-        if alphas[i] == 0:
-            return F(0)
-        if alphas[i] == 1:
-            return F(1)
-        return hill_share(2, alphas[i], inst.m)
+        return alphas[i] if alphas[i] in (0, 1) else hill_share(2, alphas[i], inst.m)
 
-    bounds = [bound(0), bound(1)]
-    if alphas[0] == 0 and alphas[1] > 0:
-        divider = 1
-    elif alphas[1] == 0 and alphas[0] > 0:
-        divider = 0
-    else:
-        divider = 0 if bounds[0] <= bounds[1] else 1
+    # a zero-row agent divides only when both rows are zero
+    divider = min((0, 1), key=lambda i: (alphas[i] == 0, bound(i)))
     chooser = 1 - divider
     _, parts = minmax_partition(inst.profile[divider], 2)
     b0, b1 = parts.bundles

@@ -67,28 +67,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("share", help="evaluate a share bound or the guarantee")
     _add_common_query(sp)
     sp.add_argument("--kind", choices=("upper", "lower", "guarantee"), required=True)
-    sp.add_argument("--out")
 
     wp = sub.add_parser("witness", help="emit a worst/best-case witness instance CSV")
     _add_common_query(wp)
     wp.add_argument("--kind", choices=("upper", "lower"), default="upper")
-    wp.add_argument("--out")
 
     mp = sub.add_parser("mms", help="exact MinMaxShare of an agent's row")
     mp.add_argument("--instance", required=True, help="instance CSV path")
     mp.add_argument("--n", type=int, required=True, help="number of bundles")
     mp.add_argument("--agent", type=int, default=1, help="1-based agent row (default 1)")
-    mp.add_argument("--out")
 
     ap = sub.add_parser("allocate", help="guarantee-satisfying allocation")
     ap.add_argument("--instance", required=True)
     ap.add_argument("--allocation-out", help="write the bare allocation for `verify`")
-    ap.add_argument("--out")
 
     vp = sub.add_parser("verify", help="check an allocation against the guarantee")
     vp.add_argument("--instance", required=True)
     vp.add_argument("--allocation", required=True)
-    vp.add_argument("--out")
 
     ep = sub.add_parser("experiment", help="reproduce the numerical studies")
     esub = ep.add_subparsers(dest="exp", required=True)
@@ -99,19 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--count", type=int, default=100)
     es.add_argument("--seed", type=int, required=True)
     es.add_argument("--records-out", help="also write the raw per-instance records")
-    es.add_argument("--out")
 
     ec = esub.add_parser("curve", help="theoretical share/ratio curves")
     ec.add_argument("--n", type=int, required=True)
     ec.add_argument("--m", type=int, help="object count (default unrestricted)")
     ec.add_argument("--points", type=int, default=200,
                     help="grid size: alpha = j/(points+1)")
-    ec.add_argument("--out")
 
     er = esub.add_parser("ratios", help="ratio records for user-supplied valuations")
     er.add_argument("--instance", required=True, help="valuation CSV, one row per function")
     er.add_argument("--n", type=int, required=True)
-    er.add_argument("--out")
+
+    # every command takes --out as its last option and names its handler
+    for parser, run in ((sp, _share), (wp, _witness), (mp, _mms), (ap, _allocate),
+                        (vp, _verify), (es, _synthetic), (ec, _curve), (er, _ratios)):
+        parser.add_argument("--out")
+        parser.set_defaults(run=run)
     return p
 
 
@@ -146,107 +144,83 @@ def _format_bundle(b) -> str:
     return ",".join(str(j + 1) for j in sorted(b)) if b else "-"
 
 
-def _format_allocation_file(alloc) -> str:
-    return "\n".join(_format_bundle(b) for b in alloc.bundles) + "\n"
+def _share(args: argparse.Namespace) -> None:
+    alpha = as_fraction(args.alpha)
+    if args.kind == "guarantee" and args.m is not None:
+        raise DomainError("--m does not apply to --kind guarantee, "
+                          "which holds for every object count")
+    if args.kind == "upper":
+        val = hill_share(args.n, alpha, args.m)
+    elif args.kind == "lower":
+        val = mms_lower_bound(args.n, alpha, args.m)
+    else:
+        val = guarantee(args.n, alpha)
+    _emit(_show(val) + "\n", args.out)
 
 
-def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _dispatch(args)
-    except (DomainError, ValidationError, SearchLimitError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _witness(args: argparse.Namespace) -> None:
+    maker = witness_upper if args.kind == "upper" else witness_lower
+    w = maker(args.n, args.alpha, args.m)
+    _emit(format_instance_csv(w.instance, comments=(
+        f"construction = {w.construction_tag}",
+        f"claimed_mms = {w.claimed_mms}",
+    )), args.out)
 
 
-def _dispatch(args) -> int:
-    if args.cmd == "share":
-        m = args.m
-        alpha = as_fraction(args.alpha)
-        if args.kind == "guarantee" and m is not None:
-            raise DomainError("--m does not apply to --kind guarantee, "
-                              "which holds for every object count")
-        if args.kind == "upper":
-            val = hill_share(args.n, alpha, m)
-        elif args.kind == "lower":
-            val = mms_lower_bound(args.n, alpha, m)
-        else:
-            val = guarantee(args.n, alpha)
-        _emit(_show(val) + "\n", args.out)
-        return 0
+def _mms(args: argparse.Namespace) -> None:
+    inst = read_instance_csv(args.instance)
+    if not 1 <= args.agent <= inst.n:
+        raise ValidationError(f"agent {args.agent} out of range 1..{inst.n}")
+    _emit(_show(exact_mms(inst.profile[args.agent - 1], args.n)) + "\n", args.out)
 
-    if args.cmd == "witness":
-        m = args.m
-        alpha = as_fraction(args.alpha)
-        maker = witness_upper if args.kind == "upper" else witness_lower
-        w = maker(args.n, alpha, m)
-        text = format_instance_csv(w.instance, comments=(
-            f"construction = {w.construction_tag}",
-            f"claimed_mms = {w.claimed_mms}",
-        ))
-        _emit(text, args.out)
-        return 0
 
-    if args.cmd == "mms":
-        inst = read_instance_csv(args.instance)
-        if not 1 <= args.agent <= inst.n:
-            raise ValidationError(f"agent {args.agent} out of range 1..{inst.n}")
-        val = exact_mms(inst.profile[args.agent - 1], args.n)
-        _emit(_show(val) + "\n", args.out)
-        return 0
+def _allocate(args: argparse.Namespace) -> None:
+    inst = read_instance_csv(args.instance)
+    alloc, report = allocate(inst)
+    lines = [
+        f"agent {rep.agent + 1}: bundle [{_format_bundle(alloc.bundles[rep.agent])}] "
+        f"disutility {_show(rep.cost)} alpha {_show(rep.alpha)} "
+        f"guarantee {_show(rep.cap)} satisfied {'yes' if rep.satisfied else 'NO'}"
+        for rep in report.agents
+    ]
+    _emit("\n".join(lines) + "\n", args.out)
+    if args.allocation_out:
+        _emit("\n".join(_format_bundle(b) for b in alloc.bundles) + "\n", args.allocation_out)
 
-    if args.cmd == "allocate":
-        inst = read_instance_csv(args.instance)
-        alloc, report = allocate(inst)
-        lines = [
-            f"agent {rep.agent + 1}: bundle [{_format_bundle(alloc.bundles[rep.agent])}] "
-            f"disutility {_show(rep.cost)} alpha {_show(rep.alpha)} "
-            f"guarantee {_show(rep.cap)} satisfied {'yes' if rep.satisfied else 'NO'}"
-            for rep in report.agents
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-        if args.allocation_out:
-            with open(args.allocation_out, "w", encoding="utf-8") as fh:
-                fh.write(_format_allocation_file(alloc))
-        return 0
 
-    if args.cmd == "verify":
-        inst = read_instance_csv(args.instance)
-        alloc = _parse_allocation_file(args.allocation, inst.n, inst.m)
-        reports = agent_reports(inst, alloc)
-        ok = all(rep.satisfied for rep in reports)
-        lines = [
-            f"agent {rep.agent + 1}: disutility {_show(rep.cost)} guarantee {_show(rep.cap)} "
-            f"{'ok' if rep.satisfied else 'VIOLATED'}"
-            for rep in reports
-        ]
-        lines.append("all guarantees satisfied" if ok else "guarantee violation found")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0 if ok else 1
+def _verify(args: argparse.Namespace) -> int:
+    inst = read_instance_csv(args.instance)
+    alloc = _parse_allocation_file(args.allocation, inst.n, inst.m)
+    reports = agent_reports(inst, alloc)
+    ok = all(rep.satisfied for rep in reports)
+    lines = [
+        f"agent {rep.agent + 1}: disutility {_show(rep.cost)} guarantee {_show(rep.cap)} "
+        f"{'ok' if rep.satisfied else 'VIOLATED'}"
+        for rep in reports
+    ]
+    lines.append("all guarantees satisfied" if ok else "guarantee violation found")
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0 if ok else 1
 
-    # experiment
-    if args.exp == "synthetic":
-        m_values = tuple(int(t) for t in args.m.split(","))
-        cfg = ExperimentConfig(args.n, m_values, args.count, args.seed)
-        hist = run_histogram(cfg)
-        _emit(histogram_csv(hist, cfg), args.out)
-        if args.records_out:
-            with open(args.records_out, "w", encoding="utf-8") as fh:
-                fh.write(records_csv(hist.records, cfg.summary()))
-        return 0
 
-    if args.exp == "curve":
-        if args.points < 1:
-            raise ValidationError("need at least one grid point")
-        grid = [F(j, args.points + 1) for j in range(1, args.points + 1)]
-        rows = curve_samples(args.n, grid, args.m)
-        _emit(curve_csv(rows, args.n, args.m), args.out)
-        return 0
+def _synthetic(args: argparse.Namespace) -> None:
+    m_values = tuple(int(t) for t in args.m.split(","))
+    cfg = ExperimentConfig(args.n, m_values, args.count, args.seed)
+    hist = run_histogram(cfg)
+    _emit(histogram_csv(hist, cfg), args.out)
+    if args.records_out:
+        _emit(records_csv(hist.records, cfg.summary()), args.records_out)
 
-    # ratios
+
+def _curve(args: argparse.Namespace) -> None:
+    if args.points < 1:
+        raise ValidationError("need at least one grid point")
+    grid = [F(j, args.points + 1) for j in range(1, args.points + 1)]
+    rows = curve_samples(args.n, grid, args.m)
+    _emit(curve_csv(rows, args.n, args.m), args.out)
+
+
+def _ratios(args: argparse.Namespace) -> None:
     inst = read_instance_csv(args.instance)
     for i, row in enumerate(inst.profile, start=1):
         # Let D be the row's common denominator and alpha = p/q, so q divides
@@ -259,7 +233,18 @@ def _dispatch(args) -> int:
             raise ValidationError(f"row {i}: hill share or ratio too long to print")
     records = [instance_ratio(v, args.n) for v in inst.profile]
     _emit(records_csv(records, f"n={args.n} source={args.instance}"), args.out)
-    return 0
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.run(args) or 0
+    except (SearchLimitError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

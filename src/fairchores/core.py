@@ -171,15 +171,21 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     return ordered, perm
 
 
-def _bracket(n: int, alpha) -> tuple[int, int, int]:
-    """(k, p, q) with alpha = p/q in the bracket (1/((k+1)n+1), 1/(kn+1)] that
-    both interval families tile; rejects n < 2 and alpha outside (0, 1]."""
+def _unit_alpha(alpha) -> tuple[int, int]:
+    """(p, q) with alpha = p/q; rejects alpha outside (0, 1]."""
     alpha = as_fraction(alpha)
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("need at least 2 agents")
     p, q = alpha.numerator, alpha.denominator
     if not 0 < p <= q:
         raise DomainError(f"alpha={alpha} outside (0, 1]")
+    return p, q
+
+
+def _bracket(n: int, alpha) -> tuple[int, int, int]:
+    """(k, p, q) with alpha = p/q in the bracket (1/((k+1)n+1), 1/(kn+1)] that
+    both interval families tile; rejects n < 2 and alpha outside (0, 1]."""
+    if not isinstance(n, int) or n < 2:
+        raise DomainError("need at least 2 agents")
+    p, q = _unit_alpha(alpha)
     return (q - p) // (n * p), p, q
 
 
@@ -205,8 +211,8 @@ def classify_guarantee(n: int, alpha) -> RegionIndex:
 
 def ceil_inv(alpha: Fraction) -> int:
     """Smallest feasible object count for a normalised vector with max alpha."""
-    alpha = as_fraction(alpha)
-    return -(-alpha.denominator // alpha.numerator)
+    p, q = _unit_alpha(alpha)
+    return -(-q // p)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ class ExperimentConfig:
             raise ValidationError("need at least 2 agents")
         if any(m < self.n for m in self.m_values):
             raise ValidationError("m must be at least n for ratio experiments")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ValidationError("each object count m may appear only once")
 
     def summary(self) -> str:
         """The settings as written on an emitted CSV's '# config:' line."""

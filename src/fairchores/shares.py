@@ -19,6 +19,7 @@ from .core import (
     DisutilityVector,
     DomainError,
     Instance,
+    _unit_alpha,
     as_fraction,
     ceil_inv,
     classify_guarantee,
@@ -26,6 +27,7 @@ from .core import (
 )
 
 F = Fraction
+MAX_WITNESS_OBJECTS = 10 ** 6  # longest witness vector built, zero padding included
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,9 @@ def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
     alpha = as_fraction(alpha)
     _validate(n, alpha, m)
     tag, claimed, a, b = piece(n, alpha, m)
+    length = a + b if m is None else m
+    if length > MAX_WITNESS_OBJECTS:
+        raise DomainError(f"witness needs {length} objects, more than {MAX_WITNESS_OBJECTS}")
     values = [alpha] * a + [(1 - a * alpha) / b] * b
     if m is not None:
         pad = m - len(values)
@@ -186,5 +191,5 @@ def high_ratio_ranges(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def natural_object_count(alpha) -> int:
     """Object count past which the worst-case share is constant: ceil(2/alpha)-1."""
-    alpha = as_fraction(alpha)
-    return -(-2 * alpha.denominator // alpha.numerator) - 1
+    p, q = _unit_alpha(alpha)
+    return -(-2 * q // p) - 1

@@ -245,3 +245,35 @@ class TestInputChecks:
         p.write_text("# nothing here\n")
         code, out, err = run(capsys, "experiment", "ratios", "--instance", str(p), "--n", "2")
         assert code == 2 and out == "" and "empty" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("witness", "--n", "2", "--alpha", "1/1" + "0" * 30),
+        ("witness", "--n", "2", "--alpha", "1/2", "--m", "1" + "0" * 30),
+    ], ids=["tiny-alpha", "huge-m"])
+    def test_witness_too_long_to_build_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "more than 1000000" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("share", "--n", "2", "--alpha", "1/3", "--kind", "upper"), "--out"),
+    (("witness", "--n", "2", "--alpha", "1/3"), "--out"),
+    (("mms", "--instance", "{inst}", "--n", "2"), "--out"),
+    (("allocate", "--instance", "{inst}"), "--out"),
+    (("allocate", "--instance", "{inst}"), "--allocation-out"),
+    (("verify", "--instance", "{inst}", "--allocation", "{alloc}"), "--out"),
+    (("experiment", "synthetic", "--n", "2", "--m", "4", "--count", "2", "--seed", "1"),
+     "--out"),
+    (("experiment", "synthetic", "--n", "2", "--m", "4", "--count", "2", "--seed", "1"),
+     "--records-out"),
+    (("experiment", "curve", "--n", "2", "--points", "3"), "--out"),
+    (("experiment", "ratios", "--instance", "{inst}", "--n", "2"), "--out"),
+])
+def test_write_error_exits_2(capsys, tmp_path, argv, flag):
+    inst = tmp_path / "i.csv"
+    inst.write_text("object_1,object_2,object_3\n1/2,1/4,1/4\n1/3,1/3,1/3\n")
+    alloc = tmp_path / "a.txt"
+    alloc.write_text("1\n2,3\n")
+    argv = [a.format(inst=inst, alloc=alloc) for a in argv]
+    code, _, err = run(capsys, *argv, flag, str(tmp_path / "missing" / "out.txt"))
+    assert code == 2 and err.startswith("error:")

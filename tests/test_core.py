@@ -17,6 +17,7 @@ from fairchores.core import (
     order_vector,
     parse_instance_csv,
 )
+from fairchores.shares import natural_object_count
 
 F = Fraction
 
@@ -142,6 +143,13 @@ def test_ceil_inv():
     assert ceil_inv(F(1, 3)) == 3
     assert ceil_inv(F(1)) == 1
     assert ceil_inv(0.3) == 4
+
+
+def test_ceil_inv_rejects_alpha_outside_unit_interval():
+    for alpha in (0, F(-1, 2), F(3, 2), -0.3):
+        for f in (ceil_inv, natural_object_count):
+            with pytest.raises(DomainError):
+                f(alpha)
 
 
 def test_csv_round_trip():

@@ -91,6 +91,11 @@ class TestRunHistogram:
         with pytest.raises(ValidationError):
             ExperimentConfig(2, (6,), -1, 0)
 
+    def test_repeated_object_count_rejected(self):
+        # counts[(n, 6)] would hold one setting while the records held both
+        with pytest.raises(ValidationError, match="only once"):
+            ExperimentConfig(2, (6, 6), 5, 1)
+
 
 class TestCurves:
     def test_anchor_rows(self):

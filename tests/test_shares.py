@@ -159,6 +159,11 @@ class TestWitnesses:
         assert w.vector.alpha() == F(3, 10) and w.vector.m == 9
         assert w.vector.total() == 1
 
+    def test_witness_too_long_to_build(self):
+        # a + b = 1 + 2(k+1) objects with k ~ 10**30: rejected before any list
+        with pytest.raises(DomainError, match="objects"):
+            witness_upper(2, F(1, 10**30))
+
 
 class TestRatios:
     def test_examples(self):
