@@ -18,6 +18,8 @@ from .core import (
     Allocation,
     DomainError,
     ValidationError,
+    _check_cell_size,
+    _printable,
     _row_printable,
     as_fraction,
     format_decimal,
@@ -37,6 +39,7 @@ from .mms import SearchLimitError, exact_mms
 from .shares import guarantee, hill_share, mms_lower_bound, witness_lower, witness_upper
 
 F = Fraction
+MAX_CURVE_POINTS = 10 ** 6  # largest `experiment curve --points`
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -144,8 +147,17 @@ def _format_bundle(b) -> str:
     return ",".join(str(j + 1) for j in sorted(b)) if b else "-"
 
 
+def _alpha(token: str) -> Fraction:
+    """The exact --alpha, rejected first if the token is too long to print back."""
+    try:
+        _check_cell_size(token)
+    except ValueError as exc:
+        raise DomainError(f"--alpha: {exc}") from None
+    return as_fraction(token)
+
+
 def _share(args: argparse.Namespace) -> None:
-    alpha = as_fraction(args.alpha)
+    alpha = _alpha(args.alpha)
     if args.kind == "guarantee" and args.m is not None:
         raise DomainError("--m does not apply to --kind guarantee, "
                           "which holds for every object count")
@@ -155,12 +167,17 @@ def _share(args: argparse.Namespace) -> None:
         val = mms_lower_bound(args.n, alpha, args.m)
     else:
         val = guarantee(args.n, alpha)
+    # every share is at most 1, so its denominator bounds both integers printed
+    if not _printable(val.denominator):
+        raise DomainError("--alpha gives a share too long to print")
     _emit(_show(val) + "\n", args.out)
 
 
 def _witness(args: argparse.Namespace) -> None:
     maker = witness_upper if args.kind == "upper" else witness_lower
-    w = maker(args.n, args.alpha, args.m)
+    w = maker(args.n, _alpha(args.alpha), args.m)
+    if not (_row_printable(w.vector) and _printable(w.claimed_mms.denominator)):
+        raise DomainError("--alpha gives a witness too long to print")
     _emit(format_instance_csv(w.instance, comments=(
         f"construction = {w.construction_tag}",
         f"claimed_mms = {w.claimed_mms}",
@@ -215,6 +232,8 @@ def _synthetic(args: argparse.Namespace) -> None:
 def _curve(args: argparse.Namespace) -> None:
     if args.points < 1:
         raise ValidationError("need at least one grid point")
+    if args.points > MAX_CURVE_POINTS:
+        raise ValidationError(f"--points {args.points} is more than {MAX_CURVE_POINTS}")
     grid = [F(j, args.points + 1) for j in range(1, args.points + 1)]
     rows = curve_samples(args.n, grid, args.m)
     _emit(curve_csv(rows, args.n, args.m), args.out)

@@ -180,13 +180,29 @@ def _unit_alpha(alpha) -> tuple[int, int]:
     return p, q
 
 
+def _bracket_k(n: int, p: int, q: int) -> int:
+    """k with p/q in the bracket (1/((k+1)n+1), 1/(kn+1)] that both interval
+    families tile; needs n >= 1 and 0 < p <= q."""
+    return (q - p) // (n * p)
+
+
 def _bracket(n: int, alpha) -> tuple[int, int, int]:
-    """(k, p, q) with alpha = p/q in the bracket (1/((k+1)n+1), 1/(kn+1)] that
-    both interval families tile; rejects n < 2 and alpha outside (0, 1]."""
+    """(k, p, q) with alpha = p/q in bracket k (see _bracket_k); rejects n < 2
+    and alpha outside (0, 1]."""
     if not isinstance(n, int) or n < 2:
         raise DomainError("need at least 2 agents")
     p, q = _unit_alpha(alpha)
-    return (q - p) // (n * p), p, q
+    return _bracket_k(n, p, q), p, q
+
+
+def _in_d(n: int, k: int, p: int, q: int) -> bool:
+    """Whether p/q in bracket k lies in D(n,k), not I(n,k): p/q <= (k+2)/(n(k+1)^2+k+2)."""
+    return p * (n * (k + 1) ** 2 + k + 2) <= q * (k + 2)
+
+
+def _in_ni(n: int, k: int, p: int, q: int) -> bool:
+    """Whether p/q in bracket k lies in NI(n,k), not IV(n,k): p/q < (k+2)/((k+1)((k+1)n+1))."""
+    return p * (k + 1) * ((k + 1) * n + 1) < q * (k + 2)
 
 
 def classify_theorem1(n: int, alpha) -> RegionIndex:
@@ -196,7 +212,7 @@ def classify_theorem1(n: int, alpha) -> RegionIndex:
     I(n,k) = ((k+2)/(n(k+1)^2+k+2), 1/(kn+1)].
     """
     k, p, q = _bracket(n, alpha)
-    return RegionIndex(k, "D" if p * (n * (k + 1) ** 2 + k + 2) <= q * (k + 2) else "I")
+    return RegionIndex(k, "D" if _in_d(n, k, p, q) else "I")
 
 
 def classify_guarantee(n: int, alpha) -> RegionIndex:
@@ -206,7 +222,7 @@ def classify_guarantee(n: int, alpha) -> RegionIndex:
     IV(n,k) = [(k+2)/((k+1)((k+1)n+1)), 1/(kn+1)]  (closed on the left).
     """
     k, p, q = _bracket(n, alpha)
-    return RegionIndex(k, "NI" if p * (k + 1) * ((k + 1) * n + 1) < q * (k + 2) else "IV")
+    return RegionIndex(k, "NI" if _in_ni(n, k, p, q) else "IV")
 
 
 def ceil_inv(alpha: Fraction) -> int:
@@ -237,6 +253,13 @@ def _check_cell_size(tok: str) -> None:
         raise ValueError(f"entry has more than {limit} digits")
 
 
+def _printable(bound: int) -> bool:
+    """Whether an integer of at most `bound` fits the int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    # below 8**limit it is short enough, so 10**limit is rarely built
+    return not limit or bound.bit_length() <= 3 * limit or bound < 10 ** limit
+
+
 def _row_printable(row: DisutilityVector, factor: int = 1) -> bool:
     """Whether every number printed for a normalised row fits the int-to-str limit.
 
@@ -245,10 +268,7 @@ def _row_printable(row: DisutilityVector, factor: int = 1) -> bool:
     printing numbers whose numerator and denominator are at most factor*D
     passes that factor.
     """
-    limit = sys.get_int_max_str_digits()
-    denom = row.scaled()[1] * factor
-    # below 8**limit it is short enough, so 10**limit is rarely built
-    return not limit or denom.bit_length() <= 3 * limit or denom < 10 ** limit
+    return _printable(row.scaled()[1] * factor)
 
 
 def parse_instance_csv(text: str) -> Instance:

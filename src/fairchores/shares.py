@@ -19,11 +19,11 @@ from .core import (
     DisutilityVector,
     DomainError,
     Instance,
+    _bracket_k,
+    _in_d,
+    _in_ni,
     _unit_alpha,
     as_fraction,
-    ceil_inv,
-    classify_guarantee,
-    classify_theorem1,
 )
 
 F = Fraction
@@ -43,61 +43,70 @@ class WitnessInstance:
         return self.instance.profile[0]
 
 
-def _validate(n: int, alpha: Fraction, m: Optional[int]) -> None:
+def _validate(n: int, alpha, m: Optional[int]) -> tuple[int, int]:
+    """(p, q) with alpha = p/q: the one conversion and every check of a share query."""
+    alpha = as_fraction(alpha)
     if not isinstance(n, int) or n < 2:
         raise DomainError("need an integer agent count n >= 2")
-    if not 0 < alpha < 1:
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 < p < q:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     if m is not None:
         if not isinstance(m, int):
             raise DomainError("m must be an integer or None (unrestricted)")
-        if m < ceil_inv(alpha):
+        c = -(-q // p)  # ceil(1/alpha)
+        if m < c:
             raise DomainError(
-                f"m={m} < ceil(1/alpha)={ceil_inv(alpha)}: no normalised "
+                f"m={m} < ceil(1/alpha)={c}: no normalised "
                 f"vector with max entry {alpha} exists on {m} objects"
             )
+    return p, q
 
 
-def _upper_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, Fraction, int, int]:
-    """(construction tag, value, a, b) of the tight upper bound.
+# Each piece below returns (construction tag, num, den, a, b) for alpha = p/q:
+# the bound's value is num/den, and (q - 1) // p, the most objects at alpha
+# that leave a positive remainder, is ceil(1/alpha) - 1.
+
+def _upper_piece(n: int, p: int, q: int, m: Optional[int]) -> tuple[str, int, int, int, int]:
+    """The tight upper bound's piece at alpha = p/q.
 
     The single branch tree of the bound: hill_share reads the value and
     witness_upper builds the vector from a and b (see _witness).
     """
-    reg = classify_theorem1(n, alpha)
-    k = reg.k
+    k = _bracket_k(n, p, q)
     if n == 2 and k == 1:
         # three-step piece on (1/5, 1/3]; m < 6 cuts it short
         if m == 3:  # feasibility forces alpha = 1/3
-            return "two-agent-m3", F(2, 3), ceil_inv(alpha) - 1, 1
+            return "two-agent-m3", 2, 3, (q - 1) // p, 1
         if m == 4:
-            return "two-agent-m4", 2 * alpha, ceil_inv(alpha) - 1, 1
-        if alpha <= (F(3, 11) if m == 5 else F(7, 27)):
-            return "two-agent-low", F(3, 4) * (1 - alpha), 1, 4
-        if m == 5 or alpha > F(2, 7):
-            return "two-agent-high", 2 * alpha, 3, 1
-        return "two-agent-mid", alpha + F(2, 5) * (1 - alpha), 1, 5
-    if reg.tag == "D" and (m is None or m >= k * n + n + 1):
-        return "one-heavy-balanced", F(k + 2, k + 1) * (1 - alpha) / n, 1, n * (k + 1)
+            return "two-agent-m4", 2 * p, q, (q - 1) // p, 1
+        low_num, low_den = (3, 11) if m == 5 else (7, 27)
+        if p * low_den <= q * low_num:  # alpha <= 3/11 (m = 5) or 7/27
+            return "two-agent-low", 3 * (q - p), 4 * q, 1, 4
+        if m == 5 or 7 * p > 2 * q:  # alpha > 2/7
+            return "two-agent-high", 2 * p, q, 3, 1
+        return "two-agent-mid", 3 * p + 2 * q, 5 * q, 1, 5
+    in_d = _in_d(n, k, p, q)
+    if in_d and (m is None or m >= k * n + n + 1):
+        return "one-heavy-balanced", (k + 2) * (q - p), (k + 1) * n * q, 1, n * (k + 1)
     # restricted-m D branch and every I branch
-    if reg.tag == "I" and m is None:
-        return "alpha-heavy", (k + 1) * alpha, k * n + 1, n - 1
-    return "alpha-block", (k + 1) * alpha, ceil_inv(alpha) - 1, 1
+    if not in_d and m is None:
+        return "alpha-heavy", (k + 1) * p, q, k * n + 1, n - 1
+    return "alpha-block", (k + 1) * p, q, (q - 1) // p, 1
 
 
-def _lower_piece(n: int, alpha: Fraction, m: Optional[int]) -> tuple[str, Fraction, int, int]:
-    """(construction tag, value, a, b) of the best-case bound; k = floor(1/(n alpha))."""
-    p, q = alpha.numerator, alpha.denominator
+def _lower_piece(n: int, p: int, q: int, m: Optional[int]) -> tuple[str, int, int, int, int]:
+    """The best-case bound's piece at alpha = p/q; k = floor(1/(n alpha))."""
     if n * p > q:
-        return "singleton-cover", alpha, -(-q // p) - 1, 1
+        return "singleton-cover", p, q, (q - 1) // p, 1
     k = q // (n * p)
     if k * n * p == q:
-        return "even-split", F(1, n), k * n - 1, 1
+        return "even-split", 1, n, k * n - 1, 1
     # 1/((k+1)n) < alpha < 1/(kn)
     if m is None or m >= k * n + n:
-        return "even-split-remainders", F(1, n), k * n, n
-    return ("tight-remainders", k * alpha + (1 - k * n * alpha) / (m - k * n),
-            k * n, m - k * n)
+        return "even-split-remainders", 1, n, k * n, n
+    r = m - k * n  # objects sharing the remainder 1 - kn*alpha
+    return "tight-remainders", k * p * r + q - k * n * p, q * r, k * n, r
 
 
 def hill_share(n: int, alpha, m: Optional[int] = None) -> Fraction:
@@ -105,16 +114,16 @@ def hill_share(n: int, alpha, m: Optional[int] = None) -> Fraction:
 
     m=None gives the unrestricted-m value (the maximum over all feasible m).
     """
-    alpha = as_fraction(alpha)
-    _validate(n, alpha, m)
-    return _upper_piece(n, alpha, m)[1]
+    p, q = _validate(n, alpha, m)
+    _, num, den, _, _ = _upper_piece(n, p, q, m)
+    return F(num, den)
 
 
 def mms_lower_bound(n: int, alpha, m: Optional[int] = None) -> Fraction:
     """Minimum MMS_n over normalised vectors with max entry alpha (exact)."""
-    alpha = as_fraction(alpha)
-    _validate(n, alpha, m)
-    return _lower_piece(n, alpha, m)[1]
+    p, q = _validate(n, alpha, m)
+    _, num, den, _, _ = _lower_piece(n, p, q, m)
+    return F(num, den)
 
 
 def guarantee(n: int, alpha) -> Fraction:
@@ -127,33 +136,34 @@ def guarantee(n: int, alpha) -> Fraction:
     alpha = as_fraction(alpha)
     if not isinstance(n, int) or n < 1:
         raise DomainError("need an integer agent count n >= 1")
-    if not 0 <= alpha <= 1:
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 <= p <= q:
         raise DomainError(f"alpha={alpha} outside [0, 1]")
     if n == 1:
         return F(1)
-    if alpha == 0:
+    if p == 0:
         return F(1, n)
-    reg = classify_guarantee(n, alpha)
-    if reg.tag == "NI":
-        return F(reg.k + 2, (reg.k + 1) * n + 1)
-    return (reg.k + 1) * alpha
+    k = _bracket_k(n, p, q)
+    if _in_ni(n, k, p, q):
+        return F(k + 2, (k + 1) * n + 1)
+    return F((k + 1) * p, q)
 
 
 def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
-    alpha = as_fraction(alpha)
-    _validate(n, alpha, m)
-    tag, claimed, a, b = piece(n, alpha, m)
+    p, q = _validate(n, alpha, m)
+    tag, num, den, a, b = piece(n, p, q, m)
     length = a + b if m is None else m
     if length > MAX_WITNESS_OBJECTS:
         raise DomainError(f"witness needs {length} objects, more than {MAX_WITNESS_OBJECTS}")
-    values = [alpha] * a + [(1 - a * alpha) / b] * b
+    alpha = F(p, q)
+    values = [alpha] * a + [F(q - a * p, q * b)] * b
     if m is not None:
         pad = m - len(values)
         assert pad >= 0, "construction larger than requested m"
         values += [F(0)] * pad
     assert max(values) == alpha
     vec = DisutilityVector(tuple(values), normalized=True)
-    return WitnessInstance(Instance((vec,)), claimed, tag)
+    return WitnessInstance(Instance((vec,)), F(num, den), tag)
 
 
 def witness_upper(n: int, alpha, m: Optional[int] = None) -> WitnessInstance:

@@ -2,11 +2,14 @@
 
 Deliberately naive: the MMS oracles enumerate all n**m assignments with no
 pruning, the knife renormalises every agent's remaining values at every
-level, and the lift scans every object for each position.  Nothing from the
+level, the lift scans every object for each position, and the share
+references evaluate each piece in Fraction arithmetic, locating alpha by
+comparing it with the interval ends as Fractions.  Nothing from the
 package is reused beyond the plain data types and, in the knife, the
 guarantee cap.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -129,3 +132,45 @@ def naive_lift(rows, ordered_bundles):
         taken.add(pick)
         real[owner[pos]].add(pick)
     return [frozenset(b) for b in real]
+
+
+def bracket_k(n: int, alpha: Fraction) -> int:
+    """k with alpha in (1/((k+1)n+1), 1/(kn+1)]."""
+    return math.floor((1 / alpha - 1) / n)
+
+
+def reference_upper(n: int, alpha: Fraction, m=None) -> Fraction:
+    """Tight upper bound (hill_share), piece by piece in Fraction arithmetic."""
+    k = bracket_k(n, alpha)
+    if n == 2 and k == 1:
+        if m == 3:
+            return F(2, 3)
+        if m == 4:
+            return 2 * alpha
+        if alpha <= (F(3, 11) if m == 5 else F(7, 27)):
+            return F(3, 4) * (1 - alpha)
+        if m == 5 or alpha > F(2, 7):
+            return 2 * alpha
+        return alpha + F(2, 5) * (1 - alpha)
+    in_d = alpha <= F(k + 2, n * (k + 1) ** 2 + k + 2)
+    if in_d and (m is None or m >= k * n + n + 1):
+        return F(k + 2, k + 1) * (1 - alpha) / n
+    return (k + 1) * alpha
+
+
+def reference_lower(n: int, alpha: Fraction, m=None) -> Fraction:
+    """Best-case bound (mms_lower_bound) in Fraction arithmetic."""
+    if n * alpha > 1:
+        return alpha
+    k = math.floor(1 / (n * alpha))
+    if k * n * alpha == 1 or m is None or m >= k * n + n:
+        return F(1, n)
+    return k * alpha + (1 - k * n * alpha) / (m - k * n)
+
+
+def reference_guarantee(n: int, alpha: Fraction) -> Fraction:
+    """The monotone guarantee in Fraction arithmetic, for n >= 2 and 0 < alpha <= 1."""
+    k = bracket_k(n, alpha)
+    if alpha < F(k + 2, (k + 1) * ((k + 1) * n + 1)):
+        return F(k + 2, (k + 1) * n + 1)
+    return (k + 1) * alpha

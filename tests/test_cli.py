@@ -254,6 +254,27 @@ class TestInputChecks:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "more than 1000000" in err
 
+    @pytest.mark.parametrize("argv", [
+        # a 2,203-character token whose share has a denominator near 10**4400
+        ("share", "--n", "2", "--kind", "upper", "--alpha", f"1/{3 * 10 ** 2200}"),
+        ("witness", "--n", "2", "--alpha",
+         f"{(9 * 10 ** 4299 + 7) // 4 + 1}/{9 * 10 ** 4299 + 7}"),
+        ("share", "--n", "2", "--kind", "upper", "--alpha", "1/" + "9" * 4301),
+        # a 4,300-character token whose witness remainder has 4,301 digits
+        ("witness", "--n", "1000", "--alpha", "0.2" + "4" * 4296 + "9"),
+    ], ids=["share-value", "witness-token", "share-token", "witness-row"])
+    def test_alpha_too_long_to_print_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--alpha" in err, err
+
+    def test_curve_points_capped(self, capsys, monkeypatch):
+        def no_grid(*_):
+            raise AssertionError("grid built before --points was checked")
+        monkeypatch.setattr("fairchores.cli.F", no_grid)
+        code, out, err = run(capsys, "experiment", "curve", "--n", "2",
+                             "--points", "1000001")
+        assert code == 2 and out == "" and "--points" in err, err
+
 
 @pytest.mark.parametrize("argv, flag", [
     (("share", "--n", "2", "--alpha", "1/3", "--kind", "upper"), "--out"),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from fairchores.shares import (
     witness_lower,
     witness_upper,
 )
+from oracles import bracket_k, reference_guarantee, reference_lower, reference_upper
 
 F = Fraction
 
@@ -236,3 +238,36 @@ class TestShareMonotonicity:
                             assert h == prev
                     prev = h
                 assert hill_share(n, a, m1) == hill_share(n, a)
+
+
+def _reference_alphas(n: int) -> list:
+    """400 seeded points j/10007, 40 with denominators up to 10**12, and every
+    bracket end and D/I and NI/IV split for k < 8 (the n = 2 steps too), each
+    also moved by -+10**-12; all inside (0, 1)."""
+    rng = random.Random(f"reference:{n}")
+    alphas = [F(j, 10007) for j in rng.sample(range(1, 10007), 400)]
+    for _ in range(40):
+        q = rng.randrange(2, 10 ** 12)
+        alphas.append(F(rng.choice((1, 2, 3, rng.randrange(1, q))), q))
+    ends = [e for k in range(8) for e in (
+        F(1, k * n + 1),
+        F(k + 2, n * (k + 1) ** 2 + k + 2),
+        F(k + 2, (k + 1) * ((k + 1) * n + 1)))]
+    if n == 2:
+        ends += [F(3, 11), F(7, 27), F(2, 7)]
+    eps = F(1, 10 ** 12)
+    alphas += [e + d for e in ends for d in (-eps, 0, eps)]
+    return [a for a in alphas if 0 < a < 1]
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_integer_pieces_match_fraction_reference(n):
+    for alpha in _reference_alphas(n):
+        assert guarantee(n, alpha) == reference_guarantee(n, alpha), alpha
+        c = ceil_inv(alpha)
+        k = bracket_k(n, alpha)
+        for m in {None, c, k * n + n, k * n + n + 1}:
+            if m is not None and m < c:
+                continue
+            assert hill_share(n, alpha, m) == reference_upper(n, alpha, m), (alpha, m)
+            assert mms_lower_bound(n, alpha, m) == reference_lower(n, alpha, m), (alpha, m)
