@@ -4,6 +4,8 @@ Pipeline: reduce the instance to an ordered one (every row non-increasing),
 run the recursive moving-knife procedure against the monotone guarantee, then
 lift the ordered allocation back to the original objects with a picking
 sequence.  Every agent ends with disutility at most guarantee(n, alpha_i).
+The knife never renormalises a row: an agent's remaining mass is a suffix sum
+of her integer prefix sums.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class OrderedReduction:
 
 @dataclass(frozen=True)
 class KnifeLevel:
-    """One knife level; values are raw values over the agent's remaining mass."""
+    """One knife level; values are over each agent's remaining mass, her suffix [s, m)."""
 
     agents: tuple[int, ...]             # active agents, original indices
     level_n: int
@@ -47,8 +49,7 @@ class KnifeLevel:
     prefix_len: int                     # knife length t at loop exit
     removed_position: Optional[int]     # ordered position of the dropped object
     served_value: Fraction              # served agent's value of her bundle
-    bundle_costs: dict[int, Fraction]   # unserved agents' C_i = v_i(served bundle);
-                                        # each one's mass shrinks by 1 - C_i
+    bundle_costs: dict[int, Fraction]   # unserved agents' C_i = v_i(served bundle)
     early_exhaustion: bool              # the knife reached the end within a cap
 
 
@@ -90,17 +91,20 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     a shared prefix knife while anyone is still within her cap; one agent who
     just crossed takes her prefix minus the last object; the rest recurse.
     Rather than renormalise the rest to total 1, each agent keeps her row's
-    integer prefix sums over its common denominator and a remaining mass,
-    shrunk by 1 - C_i per served bundle.
+    integer prefix sums; her remaining mass is the suffix sum
+    prefix[m] - prefix[s], and every value is read over it.
     """
     n, m = ordered.n, ordered.m
-    ints, denom = zip(*(row.scaled() for row in ordered.profile))
-    prefix = [list(accumulate(r, initial=0)) for r in ints]
-    mass = [F(1)] * n
+    prefix = [list(accumulate(row.scaled()[0], initial=0)) for row in ordered.profile]
 
-    def value(i: int, a: int, b: int) -> Fraction:
-        """Agent i's renormalised value of positions [a, b)."""
-        return F(prefix[i][b] - prefix[i][a], denom[i]) / mass[i] if mass[i] else F(0)
+    def rest(i: int) -> int:
+        """Agent i's remaining mass: her row's sum over [s, m)."""
+        return prefix[i][m] - prefix[i][s]
+
+    def value(i: int, end: int) -> Fraction:
+        """Agent i's renormalised value of positions [s, end)."""
+        r = rest(i)
+        return F(prefix[i][end] - prefix[i][s], r) if r else F(0)
 
     bundles = [frozenset()] * n
     levels: list[KnifeLevel] = []
@@ -109,26 +113,24 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     early = False
     while len(active) > 1 and not early:
         n_ = len(active)
-        alphas = {i: value(i, s, min(s + 1, m)) for i in active}
+        alphas = {i: value(i, min(s + 1, m)) for i in active}
         caps = {i: guarantee(n_, alphas[i]) for i in active}
         # the first knife length at which each agent exceeds her cap
-        stops = {i: bisect_right(prefix[i], prefix[i][s] + mass[i] * caps[i] * denom[i], s) - s
+        stops = {i: bisect_right(prefix[i], prefix[i][s] + rest(i) * caps[i], s) - s
                  for i in active}
         t = max(stops.values())
         served = next(i for i in active if stops[i] == t)
         early = s + t > m  # someone stays within her cap on the whole suffix
         end = m if early else s + t - 1
         t = min(t, m - s)
-        costs = {} if early else {i: value(i, s, end) for i in active if i != served}
+        costs = {} if early else {i: value(i, end) for i in active if i != served}
         levels.append(KnifeLevel(
             agents=tuple(active), level_n=n_, alphas=alphas, caps=caps,
-            prefix_values={i: value(i, s, s + t) for i in active}, served_agent=served,
+            prefix_values={i: value(i, s + t) for i in active}, served_agent=served,
             prefix_len=t, removed_position=None if early else end,
-            served_value=value(served, s, end), bundle_costs=costs, early_exhaustion=early,
+            served_value=value(served, end), bundle_costs=costs, early_exhaustion=early,
         ))
         bundles[served] = frozenset(range(s, end))
-        for i, c in costs.items():
-            mass[i] *= 1 - c
         active.remove(served)
         s = end
     bundles[active[0]] = frozenset(range(s, m))

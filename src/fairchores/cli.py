@@ -39,7 +39,7 @@ from .mms import SearchLimitError, exact_mms
 from .shares import guarantee, hill_share, mms_lower_bound, witness_lower, witness_upper
 
 F = Fraction
-MAX_CURVE_POINTS = 10 ** 6  # largest `experiment curve --points`
+MAX_CURVE_POINTS = 10 ** 5  # largest `experiment curve --points`
 
 
 def _emit(text: str, out: str | None) -> None:

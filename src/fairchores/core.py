@@ -143,15 +143,9 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     Each row is divided by its total; a zero-total row is kept all-zero and
     flagged via ``normalized=False``.
     """
-    rows = [tuple(as_fraction(x) for x in r) for r in raw]
-    if not rows:
-        raise ValidationError("empty matrix")
-    m = len(rows[0])
-    if any(len(r) != m for r in rows):
-        raise ValidationError("ragged matrix")
     profile = []
-    for r in rows:
-        row = DisutilityVector(r)
+    for r in raw:
+        row = DisutilityVector(tuple(as_fraction(x) for x in r))
         ints, _ = row.scaled()
         total = sum(ints)
         if total:

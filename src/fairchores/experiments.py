@@ -58,8 +58,17 @@ class RatioRecord:
 class RatioHistogram:
     """0.1-wide half-open buckets [1.0,1.1), [1.1,1.2), ... per (n, m)."""
 
-    counts: dict[tuple[int, int], dict[int, int]]
     records: tuple[RatioRecord, ...]
+
+    @property
+    def counts(self) -> dict[tuple[int, int], dict[int, int]]:
+        """How many records fall in each bucket, per (n, m)."""
+        counts: dict[tuple[int, int], dict[int, int]] = {}
+        for r in self.records:
+            buckets = counts.setdefault((r.n, r.m), {})
+            b = self.bucket_of(r.ratio)
+            buckets[b] = buckets.get(b, 0) + 1
+        return counts
 
     @staticmethod
     def bucket_of(ratio: Fraction) -> int:
@@ -93,20 +102,12 @@ def instance_ratio(v: DisutilityVector, n: int) -> RatioRecord:
 
 def run_histogram(cfg: ExperimentConfig) -> RatioHistogram:
     """Deterministic ratio histogram; one RNG stream per (n, m) setting."""
-    counts: dict[tuple[int, int], dict[int, int]] = {}
-    records: list[RatioRecord] = []
+    records = []
     for m in cfg.m_values:
         rng = random.Random(f"{cfg.seed}:{cfg.n}:{m}")
-        buckets: dict[int, int] = {}
         for _ in range(cfg.instances_per_setting):
-            v = gen_synthetic(m, rng)
-            rec = instance_ratio(v, cfg.n)
-            records.append(rec)
-            b = RatioHistogram.bucket_of(rec.ratio)
-            buckets[b] = buckets.get(b, 0) + 1
-        if cfg.instances_per_setting:
-            counts[(cfg.n, m)] = buckets
-    return RatioHistogram(counts, tuple(records))
+            records.append(instance_ratio(gen_synthetic(m, rng), cfg.n))
+    return RatioHistogram(tuple(records))
 
 
 def curve_samples(n: int, grid, m=None) -> list[tuple]:

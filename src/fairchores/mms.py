@@ -9,7 +9,6 @@ their least common denominator), so no `Fraction` sum occurs inside it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .core import Allocation, DisutilityVector, ValidationError, as_fraction
 
@@ -144,16 +143,16 @@ def lex_minmax(v: DisutilityVector, n: int, *, max_objects: int = 12) -> Allocat
     if m > max_objects:
         raise SearchLimitError(f"{m} objects exceeds the enumeration guard {max_objects}")
     ints, _ = v.scaled()
-    best_key: Optional[tuple] = None
-    best_rgs: Optional[tuple[int, ...]] = None
-    for rgs in _growth_strings(m, n):
+
+    def sorted_loads(rgs: tuple[int, ...]) -> list[int]:
         loads = [0] * n
         for j, b in enumerate(rgs):
             loads[b] += ints[j]
-        key = tuple(sorted(loads, reverse=True))
-        if best_key is None or (key, rgs) < (best_key, best_rgs):
-            best_key, best_rgs = key, rgs
+        return sorted(loads, reverse=True)
+
+    # encodings come in lexicographic order and min keeps the first minimum
+    best_rgs = min(_growth_strings(m, n), key=sorted_loads)
     bundles = [set() for _ in range(n)]
-    for j, b in enumerate(best_rgs or ()):
+    for j, b in enumerate(best_rgs):
         bundles[b].add(j)
     return Allocation(tuple(frozenset(b) for b in bundles))

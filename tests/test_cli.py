@@ -1,13 +1,17 @@
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fairchores.cli import main
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -271,9 +275,10 @@ class TestInputChecks:
         def no_grid(*_):
             raise AssertionError("grid built before --points was checked")
         monkeypatch.setattr("fairchores.cli.F", no_grid)
-        code, out, err = run(capsys, "experiment", "curve", "--n", "2",
-                             "--points", "1000001")
-        assert code == 2 and out == "" and "--points" in err, err
+        for points in ("1000001", "100001"):
+            code, out, err = run(capsys, "experiment", "curve", "--n", "2",
+                                 "--points", points)
+            assert code == 2 and out == "" and "--points" in err, err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -298,3 +303,21 @@ def test_write_error_exits_2(capsys, tmp_path, argv, flag):
     argv = [a.format(inst=inst, alloc=alloc) for a in argv]
     code, _, err = run(capsys, *argv, flag, str(tmp_path / "missing" / "out.txt"))
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, code, shown", [
+    (("share", "--n", "2", "--m", "3", "--alpha", "1/3", "--kind", "upper"), 0,
+     "2/3 (0.666666666667)"),
+    (("verify", "--instance", "inputs/small.csv", "--allocation", "inputs/alloc_bad.txt"), 1,
+     "guarantee violation found"),
+    (("share", "--n", "2", "--alpha", "2", "--kind", "upper"), 2,
+     "error: alpha=2 outside (0, 1)"),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_module_entry_point_matches_main(capsys, monkeypatch, argv, code, shown):
+    """`python -m fairchores.cli` exits and prints exactly as `main` in-process."""
+    monkeypatch.chdir(GOLDEN)
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "fairchores.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == code and shown in proc.stdout + proc.stderr
