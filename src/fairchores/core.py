@@ -7,8 +7,8 @@ alpha's numerator p and denominator q, and every bracket and split test is a
 cross-multiplication of p and q, so no `Fraction` is built to classify.
 Disutility profiles are normalised so that each agent's total is exactly 1
 (rows whose original total is 0 are kept as flagged all-zero rows).  Values
-stay `Fraction`s; every sum, sort and check of a row runs on its integer view
-over one denominator, `DisutilityVector.scaled`.
+stay `Fraction`s; every sum, max, sort and check of a row runs on its integer
+view over one denominator, `DisutilityVector.scaled`.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ class DisutilityVector:
         return len(self.values)
 
     def alpha(self) -> Fraction:
-        """Largest single-object disutility (0 for an empty/all-zero row)."""
-        return max(self.values, default=Fraction(0))
+        """Largest single-object disutility, read from the integer view (0 if all zero)."""
+        ints, denom = self.scaled()
+        return Fraction(max(ints, default=0), denom)
 
     def total(self) -> Fraction:
         return self.value_of(range(self.m))
@@ -161,7 +162,7 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     Ties keep original index order (stable).
     """
     perm = tuple(sorted(range(v.m), key=v.scaled()[0].__getitem__, reverse=True))
-    ordered = DisutilityVector(tuple(v.values[j] for j in perm), v.normalized)
+    ordered = DisutilityVector(tuple(map(v.values.__getitem__, perm)), v.normalized)
     return ordered, perm
 
 

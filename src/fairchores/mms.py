@@ -8,6 +8,7 @@ their least common denominator), so no `Fraction` sum occurs inside it.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .core import Allocation, DisutilityVector, ValidationError, as_fraction
@@ -20,14 +21,14 @@ class SearchLimitError(RuntimeError):
 
 
 def _greedy_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
-    # longest-processing-time seed for the incumbent
-    loads = [0] * n
+    # longest-processing-time seed: least-loaded bundle, lowest index on ties
+    heap = [(0, b) for b in range(n)]
     assign = [0] * len(items)
     for i, w in enumerate(items):
-        b = min(range(n), key=loads.__getitem__)
-        loads[b] += w
+        load, b = heap[0]
+        heapq.heapreplace(heap, (load + w, b))
         assign[i] = b
-    return max(loads), assign
+    return max(heap)[0], assign
 
 
 def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
@@ -86,24 +87,20 @@ def minmax_partition(
     idx = [j for j, x in enumerate(ints) if x > 0]
     zeros = [j for j, x in enumerate(ints) if x == 0]
     idx.sort(key=ints.__getitem__, reverse=True)
-    if len(idx) <= n:
-        # one object per bundle; no search runs, so the guard does not apply
-        assign = range(len(idx))
-        value = v.values[idx[0]] if idx else F(0)
-    elif len(idx) > max_objects or n > max_agents:
+    # at most n nonzero objects need no search: the greedy seed puts one per
+    # bundle and meets the lower bound, so the guard applies only above n
+    if len(idx) > n and (len(idx) > max_objects or n > max_agents):
         raise SearchLimitError(
             f"{len(idx)} nonzero objects / {n} agents exceeds the scale "
             f"guard ({max_objects} objects, {max_agents} agents); raise the "
             "limits explicitly to search anyway"
         )
-    else:
-        opt, assign = _bnb_min_makespan([ints[j] for j in idx], n)
-        value = F(opt, denom)
+    opt, assign = _bnb_min_makespan([ints[j] for j in idx], n)
     bundles = [set() for _ in range(n)]
     for pos, b in enumerate(assign):
         bundles[b].add(idx[pos])
     bundles[0].update(zeros)
-    return value, Allocation(tuple(frozenset(b) for b in bundles))
+    return F(opt, denom), Allocation(tuple(frozenset(b) for b in bundles))
 
 
 def exact_mms(v: DisutilityVector, n: int, **limits) -> Fraction:
@@ -129,7 +126,7 @@ def _growth_strings(m: int, n: int):
             a[i] = b
             yield from rec(i + 1, max(blocks, b + 1))
 
-    yield from rec(0, 0) if m else iter([()])
+    yield from rec(0, 0)
 
 
 def lex_minmax(v: DisutilityVector, n: int, *, max_objects: int = 12) -> Allocation:

@@ -161,8 +161,8 @@ def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
         pad = m - len(values)
         assert pad >= 0, "construction larger than requested m"
         values += [F(0)] * pad
-    assert max(values) == alpha
     vec = DisutilityVector(tuple(values), normalized=True)
+    assert vec.alpha() == alpha
     return WitnessInstance(Instance((vec,)), F(num, den), tag)
 
 

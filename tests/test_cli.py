@@ -167,6 +167,27 @@ class TestInputChecks:
                                  "--kind", "guarantee")
             assert code == 2 and out == "" and err.startswith("error:"), (n, alpha)
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--instance", "{inst}", "--allocation", "{overlap}"),
+         "bundles are not disjoint"),
+        (("verify", "--instance", "{inst}", "--allocation", "{short}"),
+         "allocation file has 1 bundle lines, expected 2"),
+        (("experiment", "curve", "--n", "2", "--points", "0"), "need at least one grid point"),
+        (("experiment", "synthetic", "--n", "1", "--m", "4", "--seed", "0"),
+         "need at least 2 agents"),
+        (("experiment", "synthetic", "--n", "3", "--m", "2", "--seed", "0"),
+         "m must be at least n for ratio experiments"),
+        (("mms", "--instance", "{inst}", "--n", "0"), "need n >= 1"),
+    ], ids=["overlap", "short", "points", "agents", "objects", "mms-n"])
+    def test_rejected_input_is_a_usage_error(self, capsys, tmp_path, argv, message):
+        files = {"inst": "object_1,object_2,object_3\n1,1,1\n2,1,1\n",
+                 "overlap": "1,2\n2,3\n", "short": "1,2,3\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        paths = {name: str(tmp_path / name) for name in files}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_few_objects_need_no_search_past_the_agent_guard(self, capsys, tmp_path):
         # 3 nonzero objects and 11 > 10 agents: one object per bundle, no search
         inst = tmp_path / "i.csv"

@@ -48,6 +48,8 @@ def test_normalize_rejects_negative_and_ragged():
         normalize([[1, -1]])
     with pytest.raises(ValidationError):
         normalize([[1, 2], [1]])
+    with pytest.raises(ValidationError):
+        normalize([])
 
 
 def test_vector_checks_reject_bad_rows():

@@ -23,6 +23,8 @@ class TestGenSynthetic:
     def test_m1(self):
         v = gen_synthetic(1, random.Random(0))
         assert v.values == (F(1),)
+        with pytest.raises(ValidationError):
+            gen_synthetic(0, random.Random(0))
 
     def test_sum_exact(self):
         rng = random.Random(3)
@@ -90,9 +92,14 @@ class TestRunHistogram:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(2, (6,), -1, 0)
+        with pytest.raises(ValidationError):
+            ExperimentConfig(1, (6,), 5, 0)
+        with pytest.raises(ValidationError):
+            ExperimentConfig(3, (2,), 5, 0)
 
     def test_repeated_object_count_rejected(self):
-        # counts[(n, 6)] would hold one setting while the records held both
+        # a repeated m would draw that setting's seeded instances twice and
+        # duplicate its records
         with pytest.raises(ValidationError, match="only once"):
             ExperimentConfig(2, (6, 6), 5, 1)
 

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from fairchores.core import DisutilityVector
+from fairchores.core import Allocation, DisutilityVector, ValidationError
 from fairchores.mms import (
     SearchLimitError,
     exact_mms,
@@ -57,6 +57,11 @@ class TestExactMMS:
         assert val == F(1, 2) and alloc.n == 11
         alloc.validate(4)
         assert exact_mms(DisutilityVector((F(1, 30),) * 30), 30) == F(1, 30)
+        for v in (DisutilityVector(()), vec(0, 0, 0)):
+            val, alloc = minmax_partition(v, 11)
+            assert val == 0 and alloc.n == 11
+            alloc.validate(v.m)
+            assert alloc.bundles[0] == frozenset(range(v.m))
 
     def test_matches_naive_oracle(self):
         rng = random.Random(7)
@@ -101,6 +106,7 @@ class TestLexMinMax:
         assert set(a.bundles) == {frozenset({0}), frozenset({1, 2})}
         a = lex_minmax(vec("1/3", "1/3", "1/3"), 3)
         assert set(a.bundles) == {frozenset({0}), frozenset({1}), frozenset({2})}
+        assert lex_minmax(DisutilityVector(()), 2) == Allocation((frozenset(), frozenset()))
 
     def test_canonical_tie_break(self):
         # loads (3/5, 2/5) achieved two ways; smallest growth string wins
@@ -110,6 +116,8 @@ class TestLexMinMax:
     def test_guard(self):
         with pytest.raises(SearchLimitError):
             lex_minmax(DisutilityVector((F(1, 13),) * 13), 2)
+        with pytest.raises(ValidationError):
+            lex_minmax(vec("1/2", "1/2"), 0)
 
     def test_max_load_equals_mms(self):
         rng = random.Random(3)

@@ -56,6 +56,8 @@ class TestHillShare:
             hill_share(1, F(1, 2))
         with pytest.raises(DomainError):
             hill_share(2, F(3, 2))
+        with pytest.raises(DomainError):
+            hill_share(2, F(1, 2), 3.5)
 
 
 class TestLowerBound:
