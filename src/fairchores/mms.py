@@ -4,12 +4,18 @@ A depth-first branch-and-bound over descending-sorted objects computes the
 exact min-max n-partition value.  All pruning happens on integers: the search
 runs on the row's integer view (`DisutilityVector.scaled`, the entries over
 their least common denominator), so no `Fraction` sum occurs inside it.
+
+The search stops as soon as its incumbent meets a root lower bound, the
+largest of three (Dell'Amico & Martello, 1995): the largest object, the
+average load `ceil(total/n)`, and the pigeonhole count, by which some bundle
+holds k+1 of the kn+1 largest objects.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import Allocation, DisutilityVector, ValidationError, as_fraction
 
@@ -31,10 +37,29 @@ def _greedy_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
     return max(heap)[0], assign
 
 
+def _lower_bound(items: list[int], n: int) -> int:
+    """Lower bound on the min-max n-partition value; items descending.
+
+    The larger of ceil(total/n) and, for every k >= 0 with kn+1 <= m, the
+    pigeonhole sum items[kn-k] + ... + items[kn]: some bundle holds k+1 of
+    the kn+1 largest objects, so it carries at least the k+1 smallest of
+    them.  At k = 0 that sum is the largest object, items[0].
+    """
+    prefix = list(accumulate(items, initial=0))
+    pigeonhole = (prefix[k * n + 1] - prefix[k * n - k]
+                  for k in range((len(items) - 1) // n + 1))
+    return max(-(-prefix[-1] // n), max(pigeonhole, default=0))
+
+
 def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
-    """Exact min over n-partitions of the max bundle sum; items descending."""
-    total = sum(items)
-    lower = max(items[0] if items else 0, -(-total // n))
+    """Exact min over n-partitions of the max bundle sum; items descending.
+
+    The search returns once the incumbent meets `_lower_bound` (the largest
+    object, the average load and the pigeonhole count).  It replaces the
+    incumbent only on a strict improvement, so a stronger bound ends the
+    proof of optimality sooner without changing the value or allocation.
+    """
+    lower = _lower_bound(items, n)
     best, best_assign = _greedy_makespan(items, n)
     if best == lower:
         return best, best_assign

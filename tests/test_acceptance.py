@@ -28,7 +28,7 @@ from fairchores.shares import (
 from oracles import naive_mms
 
 F = Fraction
-LIMITS = dict(max_objects=32, max_agents=10)
+LIMITS = dict(max_objects=64, max_agents=10)
 
 
 def report(num: int, name: str, failures: list) -> None:
@@ -38,10 +38,10 @@ def report(num: int, name: str, failures: list) -> None:
 
 
 def share_grid():
-    """(n, alpha, m) queries covering every D/I sub-branch for k <= 3."""
+    """(n, alpha, m) queries covering every D/I sub-branch for n <= 8, k <= 6."""
     queries = []
-    for n in (2, 3, 4, 5):
-        for k in (0, 1, 2, 3):
+    for n in range(2, 9):
+        for k in range(7):
             left = F(1, (k + 1) * n + 1)
             right = F(1, k * n + 1)
             split = F(k + 2, n * (k + 1) ** 2 + k + 2)

@@ -301,6 +301,18 @@ class TestInputChecks:
                                  "--points", points)
             assert code == 2 and out == "" and "--points" in err, err
 
+    def test_agents_capped(self, capsys, monkeypatch, tmp_path):
+        def unreached(*_):
+            raise AssertionError("row read or searched before --n was checked")
+        for name in ("read_instance_csv", "exact_mms", "instance_ratio"):
+            monkeypatch.setattr(f"fairchores.cli.{name}", unreached)
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2,object_3\n1/2,3/10,1/5\n")
+        for cmd in (("mms",), ("experiment", "ratios")):
+            for n in ("10000000", "100001"):
+                code, out, err = run(capsys, *cmd, "--instance", str(inst), "--n", n)
+                assert (code, out, err) == (2, "", f"error: --n {n} is more than 100000\n")
+
 
 @pytest.mark.parametrize("argv, flag", [
     (("share", "--n", "2", "--alpha", "1/3", "--kind", "upper"), "--out"),

@@ -7,13 +7,17 @@ import pytest
 from fairchores.core import Allocation, DisutilityVector, ValidationError
 from fairchores.mms import (
     SearchLimitError,
+    _greedy_makespan,
+    _lower_bound,
     exact_mms,
     fits_under,
     lex_minmax,
     minmax_partition,
 )
+from fairchores.shares import witness_lower, witness_upper
 
 from oracles import naive_lex_key, naive_mms
+from test_acceptance import share_grid
 
 F = Fraction
 
@@ -84,6 +88,46 @@ class TestExactMMS:
                 prev = x
             assert exact_mms(v, 6) == v.alpha()
             assert exact_mms(v, 9) == v.alpha()
+
+
+class TestLowerBound:
+    """`_lower_bound` is a search-effort guard: it may end the search early,
+    so it must never exceed the optimum."""
+
+    def test_examples(self):
+        assert _lower_bound([], 3) == 0
+        assert _lower_bound([5, 1], 1) == 6
+        # pigeonhole, k=1: two of the three largest share a bundle
+        assert _lower_bound([10, 10, 10], 2) == 20
+        # k=2: three of the five largest share a bundle, 15 > ceil(25/2)
+        assert _lower_bound([5, 5, 5, 5, 5], 2) == 15
+
+    def test_never_above_naive_oracle(self):
+        rng = random.Random(17)
+        for n in range(1, 5):
+            for m in range(1, 9):
+                for _ in range(3 if n ** m <= 4 ** 6 else 1):
+                    # few distinct values, so rows carry ties
+                    items = sorted((rng.choice((1, 2, 3, 5, 8)) for _ in range(m)),
+                                   reverse=True)
+                    assert _lower_bound(items, n) <= naive_mms(items, n), (items, n)
+
+    def test_witnesses_need_no_search(self):
+        # the greedy seed meets the bound on every widened-grid witness but
+        # the two-agent-mid upper witnesses at 3/11: seed 31, bound 28
+        searched = {(2, F(3, 11), 7, "upper"), (2, F(3, 11), None, "upper")}
+        seen = set()
+        for n, a, m in share_grid():
+            for kind, make in (("upper", witness_upper), ("lower", witness_lower)):
+                ints, _ = make(n, a, m).vector.scaled()
+                items = sorted((x for x in ints if x > 0), reverse=True)
+                seed, bound = _greedy_makespan(items, n)[0], _lower_bound(items, n)
+                if (n, a, m, kind) in searched:
+                    assert (seed, bound) == (31, 28)
+                    seen.add((n, a, m, kind))
+                else:
+                    assert seed == bound, (n, a, m, kind)
+        assert seen == searched
 
 
 class TestFitsUnder:
