@@ -5,7 +5,8 @@ run the recursive moving-knife procedure against the monotone guarantee, then
 lift the ordered allocation back to the original objects with a picking
 sequence.  Every agent ends with disutility at most guarantee(n, alpha_i).
 The knife never renormalises a row: an agent's remaining mass is a suffix sum
-of her integer prefix sums.
+of her integer prefix sums.  Each original row's integer view is read once,
+in the reduction, which sorts on it; the lift and the reports reuse it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .core import Allocation, Instance, ValidationError, order_vector
+from .core import (
+    Allocation,
+    Instance,
+    ValidationError,
+    _order_by_view,
+    _view_alpha,
+    _view_value,
+)
 from .mms import minmax_partition
 from .shares import guarantee, hill_share
 
@@ -28,12 +36,13 @@ class OrderedReduction:
     """Per-agent independently sorted instance plus the sorting permutations.
 
     ``permutations[i][p]`` is the original object index holding agent i's
-    p-th largest disutility.
+    p-th largest disutility.  ``views[i]`` is original row i's integer view
+    ``scaled()``, read once here and reused by the lift and the reports.
     """
 
     ordered: Instance
     permutations: tuple[tuple[int, ...], ...]
-    original: Instance
+    views: tuple[tuple[list[int], int], ...]
 
 
 @dataclass(frozen=True)
@@ -74,14 +83,10 @@ class AllocationReport:
 
 
 def reduce_to_ordered(inst: Instance) -> OrderedReduction:
-    ordered_rows = []
-    perms = []
-    for row in inst.profile:
-        o, p = order_vector(row)
-        ordered_rows.append(o)
-        perms.append(p)
-    ordered = Instance(tuple(ordered_rows))
-    return OrderedReduction(ordered, tuple(perms), inst)
+    views = tuple(row.scaled() for row in inst.profile)
+    ordered_rows, perms = zip(*(_order_by_view(row, ints)
+                                for row, (ints, _) in zip(inst.profile, views)))
+    return OrderedReduction(Instance(ordered_rows), perms, views)
 
 
 def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
@@ -101,6 +106,11 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
         """Agent i's remaining mass: her row's sum over [s, m)."""
         return prefix[i][m] - prefix[i][s]
 
+    def reach(i: int, cap: Fraction) -> int:
+        """floor(prefix[i][s] + rest(i) * cap); an integer prefix sum is at
+        most a bound exactly when it is at most the bound's floor."""
+        return prefix[i][s] + rest(i) * cap.numerator // cap.denominator
+
     def value(i: int, end: int) -> Fraction:
         """Agent i's renormalised value of positions [s, end)."""
         r = rest(i)
@@ -116,8 +126,7 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
         alphas = {i: value(i, min(s + 1, m)) for i in active}
         caps = {i: guarantee(n_, alphas[i]) for i in active}
         # the first knife length at which each agent exceeds her cap
-        stops = {i: bisect_right(prefix[i], prefix[i][s] + rest(i) * caps[i], s) - s
-                 for i in active}
+        stops = {i: bisect_right(prefix[i], reach(i, caps[i]), s) - s for i in active}
         t = max(stops.values())
         served = next(i for i in active if stops[i] == t)
         early = s + t > m  # someone stays within her cap on the whole suffix
@@ -149,7 +158,8 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     stable sort of her row, skipping objects already taken.  When position t
     is processed only m - t objects are gone, so at least one object no
     costlier than her t-th largest remains; each agent's real bundle
-    therefore costs no more than her ordered bundle.
+    therefore costs no more than her ordered bundle.  The orders are sorted
+    on the reduction's integer views, so no row is rescaled here.
     """
     m = red.ordered.m
     ordered_alloc.validate(m)
@@ -157,8 +167,7 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     for i, b in enumerate(ordered_alloc.bundles):
         for pos in b:
             owner[pos] = i
-    cheapest = [iter(sorted(range(m), key=row.scaled()[0].__getitem__))
-                for row in red.original.profile]
+    cheapest = [iter(sorted(range(m), key=ints.__getitem__)) for ints, _ in red.views]
     taken: set[int] = set()
     real: list[set[int]] = [set() for _ in range(ordered_alloc.n)]
     for pos in range(m - 1, -1, -1):
@@ -174,15 +183,20 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
     red = reduce_to_ordered(inst)
     ordered_alloc, trace = moving_knife(red.ordered)
     real = lift_allocation(red, ordered_alloc)
-    return real, AllocationReport(agent_reports(inst, real), trace)
+    return real, AllocationReport(_reports(red.views, real), trace)
 
 
 def agent_reports(inst: Instance, alloc: Allocation) -> tuple[AgentReport, ...]:
     """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap."""
+    return _reports([row.scaled() for row in inst.profile], alloc)
+
+
+def _reports(views, alloc: Allocation) -> tuple[AgentReport, ...]:
+    """`agent_reports` read from each row's integer view."""
     reports = []
-    for i, row in enumerate(inst.profile):
-        alpha, cost = row.alpha(), row.value_of(alloc.bundles[i])
-        cap = guarantee(inst.n, alpha)
+    for i, view in enumerate(views):
+        alpha, cost = _view_alpha(view), _view_value(view, alloc.bundles[i])
+        cap = guarantee(len(views), alpha)
         reports.append(AgentReport(i, alpha, cap, cost, cost <= cap))
     return tuple(reports)
 

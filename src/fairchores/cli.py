@@ -10,6 +10,7 @@ domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,7 @@ def _add_common_query(p: argparse.ArgumentParser) -> None:
                    help="no restriction on the number of objects (default)")
 
 
+@functools.cache  # built on the first call; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fairchores")
     sub = p.add_subparsers(dest="cmd", required=True)

@@ -77,15 +77,25 @@ class DisutilityVector:
 
     def alpha(self) -> Fraction:
         """Largest single-object disutility, read from the integer view (0 if all zero)."""
-        ints, denom = self.scaled()
-        return Fraction(max(ints, default=0), denom)
+        return _view_alpha(self.scaled())
 
     def total(self) -> Fraction:
         return self.value_of(range(self.m))
 
     def value_of(self, bundle: Iterable[int]) -> Fraction:
-        ints, denom = self.scaled()
-        return Fraction(sum(ints[e] for e in bundle), denom)
+        return _view_value(self.scaled(), bundle)
+
+
+def _view_alpha(view: tuple[list[int], int]) -> Fraction:
+    """A row's largest entry from its integer view ``(ints, d)`` (0 if all zero)."""
+    ints, denom = view
+    return Fraction(max(ints, default=0), denom)
+
+
+def _view_value(view: tuple[list[int], int], bundle: Iterable[int]) -> Fraction:
+    """A row's cost of a bundle from its integer view ``(ints, d)``."""
+    ints, denom = view
+    return Fraction(sum(ints[e] for e in bundle), denom)
 
 
 @dataclass(frozen=True)
@@ -161,7 +171,13 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     ``perm[p]`` is the original index of the value at sorted position p.
     Ties keep original index order (stable).
     """
-    perm = tuple(sorted(range(v.m), key=v.scaled()[0].__getitem__, reverse=True))
+    return _order_by_view(v, v.scaled()[0])
+
+
+def _order_by_view(v: DisutilityVector,
+                   ints: list[int]) -> tuple[DisutilityVector, tuple[int, ...]]:
+    """`order_vector` for a caller that already holds the row's integer view ``ints``."""
+    perm = tuple(sorted(range(v.m), key=ints.__getitem__, reverse=True))
     ordered = DisutilityVector(tuple(map(v.values.__getitem__, perm)), v.normalized)
     return ordered, perm
 

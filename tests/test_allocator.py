@@ -6,6 +6,8 @@ import pytest
 
 from fairchores.allocator import (
     AgentReport,
+    AllocationReport,
+    agent_reports,
     allocate,
     allocate_two_agents_tight,
     lift_allocation,
@@ -206,6 +208,46 @@ class TestAllocate:
         _, report = allocate(inst)
         assert report.agents[0].alpha == F(1, 2)
         assert report.agents[1].alpha == F(2, 3)
+
+
+class TestPhases:
+    MAKERS = (_uniform_rows, _powerlaw_rows, _many_zeros_rows)
+
+    def test_allocate_is_its_phases_in_turn(self):
+        rng = random.Random(1313)
+        for trial in range(90):
+            n = rng.randint(1, 6)
+            m = rng.randint(n, 30)
+            rows = self.MAKERS[trial % 3](rng, n, m)
+            if trial % 4 == 0:
+                rows[rng.randrange(n)] = [0] * m
+            if trial % 5 == 0:
+                rows[-1] = list(rows[0])  # two agents with the same row
+            inst = normalize(rows)
+            red = reduce_to_ordered(inst)
+            ordered_alloc, trace = moving_knife(red.ordered)
+            real = lift_allocation(red, ordered_alloc)
+            expected = (real, AllocationReport(agent_reports(inst, real), trace))
+            assert allocate(inst) == expected, trial
+
+    @pytest.mark.parametrize("n, m", [(4, 175), (12, 90)])
+    def test_each_row_is_scaled_at_most_three_times(self, monkeypatch, n, m):
+        # the reduction's sort key, the ordered row's own check and the
+        # knife's prefix sums; the lift and the reports reuse the first
+        rng = random.Random(f"scaled:{n}:{m}")
+        insts = [normalize([self.MAKERS[(i + a) % 3](rng, 1, m)[0] for a in range(n)])
+                 for i in range(3)]
+        calls = []
+        scaled = DisutilityVector.scaled
+        monkeypatch.setattr(DisutilityVector, "scaled",
+                            lambda row: calls.append(row) or scaled(row))
+        for inst in insts:
+            calls.clear()
+            alloc, _ = allocate(inst)
+            assert len(calls) <= 3 * n
+            calls.clear()
+            agent_reports(inst, alloc)
+            assert len(calls) == n
 
 
 class TestReferenceKnife:

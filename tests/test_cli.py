@@ -1,14 +1,17 @@
+import io
 import math
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fairchores.cli import main
+from fairchores.cli import build_parser, main
+from test_cli_golden import CASES, run_case
 
 F = Fraction
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -354,3 +357,19 @@ def test_module_entry_point_matches_main(capsys, monkeypatch, argv, code, shown)
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
     assert proc.returncode == code and shown in proc.stdout + proc.stderr
+
+
+def test_one_parser_serves_every_call(monkeypatch, tmp_path):
+    """In one process, a usage error, `share` and `witness` print what each
+    prints on a parser of its own."""
+    monkeypatch.chdir(GOLDEN)
+    usage = ["share", "--n", "2"]
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(usage)
+    assert "required" in err.getvalue()
+    assert run_case(usage, tmp_path) == f"exit 2\n--- stdout\n--- stderr\n{err.getvalue()}"
+    for name in ("share_upper_n2_m3", "witness_upper_two_agent_m3"):
+        golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert run_case(CASES[name], tmp_path) == golden, name
+    assert build_parser() is build_parser()
