@@ -5,8 +5,8 @@ run the recursive moving-knife procedure against the monotone guarantee, then
 lift the ordered allocation back to the original objects with a picking
 sequence.  Every agent ends with disutility at most guarantee(n, alpha_i).
 The knife never renormalises a row: an agent's remaining mass is a suffix sum
-of her integer prefix sums.  Each original row's integer view is read once,
-in the reduction, which sorts on it; the lift and the reports reuse it.
+of her integer prefix sums.  Every phase reads a row's stored integers
+(`DisutilityVector.ints`), so no row is rescaled.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .core import (
-    Allocation,
-    Instance,
-    ValidationError,
-    _order_by_view,
-    _view_alpha,
-    _view_value,
-)
+from .core import Allocation, Instance, ValidationError, order_vector
 from .mms import minmax_partition
 from .shares import guarantee, hill_share
 
@@ -36,13 +29,13 @@ class OrderedReduction:
     """Per-agent independently sorted instance plus the sorting permutations.
 
     ``permutations[i][p]`` is the original object index holding agent i's
-    p-th largest disutility.  ``views[i]`` is original row i's integer view
-    ``scaled()``, read once here and reused by the lift and the reports.
+    p-th largest disutility.  The lift sorts ``original``'s rows
+    cheapest-first.
     """
 
     ordered: Instance
     permutations: tuple[tuple[int, ...], ...]
-    views: tuple[tuple[list[int], int], ...]
+    original: Instance
 
 
 @dataclass(frozen=True)
@@ -83,10 +76,8 @@ class AllocationReport:
 
 
 def reduce_to_ordered(inst: Instance) -> OrderedReduction:
-    views = tuple(row.scaled() for row in inst.profile)
-    ordered_rows, perms = zip(*(_order_by_view(row, ints)
-                                for row, (ints, _) in zip(inst.profile, views)))
-    return OrderedReduction(Instance(ordered_rows), perms, views)
+    ordered_rows, perms = zip(*map(order_vector, inst.profile))
+    return OrderedReduction(Instance(ordered_rows), perms, inst)
 
 
 def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
@@ -100,7 +91,7 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     prefix[m] - prefix[s], and every value is read over it.
     """
     n, m = ordered.n, ordered.m
-    prefix = [list(accumulate(row.scaled()[0], initial=0)) for row in ordered.profile]
+    prefix = [list(accumulate(row.ints, initial=0)) for row in ordered.profile]
 
     def rest(i: int) -> int:
         """Agent i's remaining mass: her row's sum over [s, m)."""
@@ -158,8 +149,7 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     stable sort of her row, skipping objects already taken.  When position t
     is processed only m - t objects are gone, so at least one object no
     costlier than her t-th largest remains; each agent's real bundle
-    therefore costs no more than her ordered bundle.  The orders are sorted
-    on the reduction's integer views, so no row is rescaled here.
+    therefore costs no more than her ordered bundle.
     """
     m = red.ordered.m
     ordered_alloc.validate(m)
@@ -167,7 +157,8 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     for i, b in enumerate(ordered_alloc.bundles):
         for pos in b:
             owner[pos] = i
-    cheapest = [iter(sorted(range(m), key=ints.__getitem__)) for ints, _ in red.views]
+    cheapest = [iter(sorted(range(m), key=row.ints.__getitem__))
+                for row in red.original.profile]
     taken: set[int] = set()
     real: list[set[int]] = [set() for _ in range(ordered_alloc.n)]
     for pos in range(m - 1, -1, -1):
@@ -183,20 +174,15 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
     red = reduce_to_ordered(inst)
     ordered_alloc, trace = moving_knife(red.ordered)
     real = lift_allocation(red, ordered_alloc)
-    return real, AllocationReport(_reports(red.views, real), trace)
+    return real, AllocationReport(agent_reports(inst, real), trace)
 
 
 def agent_reports(inst: Instance, alloc: Allocation) -> tuple[AgentReport, ...]:
     """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap."""
-    return _reports([row.scaled() for row in inst.profile], alloc)
-
-
-def _reports(views, alloc: Allocation) -> tuple[AgentReport, ...]:
-    """`agent_reports` read from each row's integer view."""
     reports = []
-    for i, view in enumerate(views):
-        alpha, cost = _view_alpha(view), _view_value(view, alloc.bundles[i])
-        cap = guarantee(len(views), alpha)
+    for i, row in enumerate(inst.profile):
+        alpha, cost = row.alpha(), row.value_of(alloc.bundles[i])
+        cap = guarantee(inst.n, alpha)
         reports.append(AgentReport(i, alpha, cap, cost, cost <= cap))
     return tuple(reports)
 

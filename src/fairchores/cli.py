@@ -42,6 +42,7 @@ from .shares import guarantee, hill_share, mms_lower_bound, witness_lower, witne
 F = Fraction
 MAX_CURVE_POINTS = 10 ** 5  # largest `experiment curve --points`
 MAX_AGENTS = 10 ** 5  # largest `mms` and `experiment ratios` --n
+MAX_SYNTHETIC_OBJECTS = 10 ** 4  # largest `experiment synthetic` --m
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -232,6 +233,10 @@ def _verify(args: argparse.Namespace) -> int:
 
 def _synthetic(args: argparse.Namespace) -> None:
     m_values = tuple(int(t) for t in args.m.split(","))
+    # each instance draws its whole row before the oracle's guard reads it
+    for m in m_values:
+        if m > MAX_SYNTHETIC_OBJECTS:
+            raise ValidationError(f"--m {m} is more than {MAX_SYNTHETIC_OBJECTS}")
     cfg = ExperimentConfig(args.n, m_values, args.count, args.seed)
     hist = run_histogram(cfg)
     _emit(histogram_csv(hist, cfg), args.out)

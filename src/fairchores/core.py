@@ -6,9 +6,10 @@ decided in floating point.  A region is decided on integers: `_bracket` reads
 alpha's numerator p and denominator q, and every bracket and split test is a
 cross-multiplication of p and q, so no `Fraction` is built to classify.
 Disutility profiles are normalised so that each agent's total is exactly 1
-(rows whose original total is 0 are kept as flagged all-zero rows).  Values
-stay `Fraction`s; every sum, max, sort and check of a row runs on its integer
-view over one denominator, `DisutilityVector.scaled`.
+(rows whose original total is 0 are kept as flagged all-zero rows).  A row
+is stored as integers over its least common denominator
+(`DisutilityVector.ints`, `.denom`); every sum, max, sort and check of a row
+runs on them, and its `Fraction` entries are built only when read.
 """
 
 from __future__ import annotations
@@ -45,57 +46,70 @@ def as_fraction(x) -> Fraction:
         raise ValueError(f"zero denominator in {x!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DisutilityVector:
-    """One agent's additive disutilities over m objects.
+    """One agent's additive disutilities over m objects, stored as integers.
 
+    Entry j is ``ints[j] / denom``, with ``denom`` the least common
+    denominator of the entries, so equal rows have equal fields.
     ``normalized`` is True when the entries sum to exactly 1; an all-zero
     row produced by normalising a zero-total agent carries False.
     """
 
-    values: tuple[Fraction, ...]
-    normalized: bool = False
+    ints: tuple[int, ...]
+    denom: int
+    normalized: bool
+
+    # tuple([...]), not tuple(generator): a tuple built from an iterator of
+    # unknown length is resized, which fills CPython's per-size free lists
+    def __init__(self, values: Sequence, normalized: bool = False):
+        denom = math.lcm(*{x.denominator for x in values})
+        self._fill(tuple([x.numerator * (denom // x.denominator) for x in values]),
+                   denom, normalized)
+
+    @classmethod
+    def _of_view(cls, ints: Sequence[int], denom: int, normalized: bool) -> DisutilityVector:
+        """The row ``ints[j] / denom``, reduced by one gcd pass."""
+        g = math.gcd(denom, *ints)
+        row = cls.__new__(cls)
+        row._fill(tuple([x // g for x in ints]), denom // g, normalized)
+        return row
+
+    def _fill(self, ints: tuple[int, ...], denom: int, normalized: bool) -> None:
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "normalized", normalized)
+        self.__post_init__()
 
     def __post_init__(self):
-        if any(x.numerator < 0 for x in self.values):
+        if min(self.ints, default=0) < 0:
             raise ValidationError("negative disutility entry")
-        if self.normalized:
-            ints, denom = self.scaled()
-            if sum(ints) != denom:
-                raise ValidationError("normalized vector must sum to exactly 1")
+        if self.normalized and sum(self.ints) != self.denom:
+            raise ValidationError("normalized vector must sum to exactly 1")
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as Fractions, one built per distinct entry."""
+        fracs = {x: Fraction(x, self.denom) for x in set(self.ints)}
+        return tuple([fracs[x] for x in self.ints])
 
     def scaled(self) -> tuple[list[int], int]:
         """(ints, d) with d the least common denominator and values[j] == ints[j]/d."""
-        denom = 1
-        for d in {x.denominator for x in self.values}:
-            denom = math.lcm(denom, d)
-        return [x.numerator * (denom // x.denominator) for x in self.values], denom
+        return list(self.ints), self.denom
 
     @property
     def m(self) -> int:
-        return len(self.values)
+        return len(self.ints)
 
     def alpha(self) -> Fraction:
-        """Largest single-object disutility, read from the integer view (0 if all zero)."""
-        return _view_alpha(self.scaled())
+        """Largest single-object disutility (0 if all zero)."""
+        return Fraction(max(self.ints, default=0), self.denom)
 
     def total(self) -> Fraction:
-        return self.value_of(range(self.m))
+        return Fraction(sum(self.ints), self.denom)
 
     def value_of(self, bundle: Iterable[int]) -> Fraction:
-        return _view_value(self.scaled(), bundle)
-
-
-def _view_alpha(view: tuple[list[int], int]) -> Fraction:
-    """A row's largest entry from its integer view ``(ints, d)`` (0 if all zero)."""
-    ints, denom = view
-    return Fraction(max(ints, default=0), denom)
-
-
-def _view_value(view: tuple[list[int], int], bundle: Iterable[int]) -> Fraction:
-    """A row's cost of a bundle from its integer view ``(ints, d)``."""
-    ints, denom = view
-    return Fraction(sum(ints[e] for e in bundle), denom)
+        return Fraction(sum(self.ints[e] for e in bundle), self.denom)
 
 
 @dataclass(frozen=True)
@@ -156,11 +170,10 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     """
     profile = []
     for r in raw:
-        row = DisutilityVector(tuple(as_fraction(x) for x in r))
-        ints, _ = row.scaled()
-        total = sum(ints)
+        row = DisutilityVector([as_fraction(x) for x in r])
+        total = sum(row.ints)
         if total:
-            row = DisutilityVector(tuple(Fraction(x, total) for x in ints), normalized=True)
+            row = DisutilityVector._of_view(row.ints, total, normalized=True)
         profile.append(row)
     return Instance(tuple(profile))
 
@@ -171,14 +184,9 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     ``perm[p]`` is the original index of the value at sorted position p.
     Ties keep original index order (stable).
     """
-    return _order_by_view(v, v.scaled()[0])
-
-
-def _order_by_view(v: DisutilityVector,
-                   ints: list[int]) -> tuple[DisutilityVector, tuple[int, ...]]:
-    """`order_vector` for a caller that already holds the row's integer view ``ints``."""
+    ints = v.ints
     perm = tuple(sorted(range(v.m), key=ints.__getitem__, reverse=True))
-    ordered = DisutilityVector(tuple(map(v.values.__getitem__, perm)), v.normalized)
+    ordered = DisutilityVector._of_view([ints[j] for j in perm], v.denom, v.normalized)
     return ordered, perm
 
 
@@ -279,7 +287,7 @@ def _row_printable(row: DisutilityVector, factor: int = 1) -> bool:
     printing numbers whose numerator and denominator are at most factor*D
     passes that factor.
     """
-    return _printable(row.scaled()[1] * factor)
+    return _printable(row.denom * factor)
 
 
 def parse_instance_csv(text: str) -> Instance:

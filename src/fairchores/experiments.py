@@ -88,8 +88,8 @@ def gen_synthetic(m: int, rng: random.Random) -> DisutilityVector:
         raise ValidationError("need at least one object")
     cuts = sorted(rng.randrange(GRID + 1) for _ in range(m - 1))
     points = [0] + cuts + [GRID]
-    vals = tuple(F(points[i + 1] - points[i], GRID) for i in range(m))
-    return DisutilityVector(vals, normalized=True)
+    lengths = [points[i + 1] - points[i] for i in range(m)]
+    return DisutilityVector._of_view(lengths, GRID, normalized=True)
 
 
 def instance_ratio(v: DisutilityVector, n: int) -> RatioRecord:

@@ -2,8 +2,8 @@
 
 A depth-first branch-and-bound over descending-sorted objects computes the
 exact min-max n-partition value.  All pruning happens on integers: the search
-runs on the row's integer view (`DisutilityVector.scaled`, the entries over
-their least common denominator), so no `Fraction` sum occurs inside it.
+runs on the row's stored integers (`DisutilityVector.ints`, the entries over
+their least common denominator `denom`), so no `Fraction` sum occurs inside it.
 
 The search stops as soon as its incumbent meets a root lower bound, the
 largest of three (Dell'Amico & Martello, 1995): the largest object, the
@@ -108,7 +108,7 @@ def minmax_partition(
     """
     if n < 1:
         raise ValidationError("need n >= 1")
-    ints, denom = v.scaled()
+    ints, denom = v.ints, v.denom
     idx = [j for j, x in enumerate(ints) if x > 0]
     zeros = [j for j, x in enumerate(ints) if x == 0]
     idx.sort(key=ints.__getitem__, reverse=True)
@@ -164,7 +164,7 @@ def lex_minmax(v: DisutilityVector, n: int, *, max_objects: int = 12) -> Allocat
     m = v.m
     if m > max_objects:
         raise SearchLimitError(f"{m} objects exceeds the enumeration guard {max_objects}")
-    ints, _ = v.scaled()
+    ints = v.ints
 
     def sorted_loads(rgs: tuple[int, ...]) -> list[int]:
         loads = [0] * n

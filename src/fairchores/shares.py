@@ -155,14 +155,14 @@ def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
     length = a + b if m is None else m
     if length > MAX_WITNESS_OBJECTS:
         raise DomainError(f"witness needs {length} objects, more than {MAX_WITNESS_OBJECTS}")
-    alpha = F(p, q)
-    values = [alpha] * a + [F(q - a * p, q * b)] * b
+    # over q*b: a entries alpha = p*b/(q*b), b entries (1 - a*alpha)/b
+    ints = [p * b] * a + [q - a * p] * b
     if m is not None:
-        pad = m - len(values)
+        pad = m - len(ints)
         assert pad >= 0, "construction larger than requested m"
-        values += [F(0)] * pad
-    vec = DisutilityVector(tuple(values), normalized=True)
-    assert vec.alpha() == alpha
+        ints += [0] * pad
+    vec = DisutilityVector._of_view(ints, q * b, normalized=True)
+    assert vec.alpha() == F(p, q)
     return WitnessInstance(Instance((vec,)), F(num, den), tag)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -231,23 +232,21 @@ class TestPhases:
             assert allocate(inst) == expected, trial
 
     @pytest.mark.parametrize("n, m", [(4, 175), (12, 90)])
-    def test_each_row_is_scaled_at_most_three_times(self, monkeypatch, n, m):
-        # the reduction's sort key, the ordered row's own check and the
-        # knife's prefix sums; the lift and the reports reuse the first
+    def test_no_row_is_rescaled(self, monkeypatch, n, m):
+        # every phase reads the rows' stored integers: no common
+        # denominator is recomputed once the instance is built
         rng = random.Random(f"scaled:{n}:{m}")
         insts = [normalize([self.MAKERS[(i + a) % 3](rng, 1, m)[0] for a in range(n)])
                  for i in range(3)]
         calls = []
-        scaled = DisutilityVector.scaled
-        monkeypatch.setattr(DisutilityVector, "scaled",
-                            lambda row: calls.append(row) or scaled(row))
+        lcm = math.lcm
+        monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or lcm(*args))
         for inst in insts:
             calls.clear()
             alloc, _ = allocate(inst)
-            assert len(calls) <= 3 * n
-            calls.clear()
+            assert calls == []
             agent_reports(inst, alloc)
-            assert len(calls) == n
+            assert calls == []
 
 
 class TestReferenceKnife:

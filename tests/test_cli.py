@@ -316,6 +316,19 @@ class TestInputChecks:
                 code, out, err = run(capsys, *cmd, "--instance", str(inst), "--n", n)
                 assert (code, out, err) == (2, "", f"error: --n {n} is more than 100000\n")
 
+    def test_synthetic_objects_capped(self, capsys, monkeypatch):
+        def no_draw(*_):
+            raise AssertionError("row drawn before --m was checked")
+        monkeypatch.setattr("fairchores.experiments.gen_synthetic", no_draw)
+        for tokens, m in (("3000000", 3000000), ("10001", 10001), ("5,10001", 10001)):
+            code, out, err = run(capsys, "experiment", "synthetic", "--n", "3",
+                                 "--m", tokens, "--count", "1", "--seed", "1")
+            assert (code, out, err) == (2, "", f"error: --m {m} is more than 10000\n")
+        # the cap itself is accepted; no row is drawn at --count 0
+        code, _, err = run(capsys, "experiment", "synthetic", "--n", "3",
+                           "--m", "10000", "--count", "0", "--seed", "1")
+        assert code == 0, err
+
 
 @pytest.mark.parametrize("argv, flag", [
     (("share", "--n", "2", "--alpha", "1/3", "--kind", "upper"), "--out"),

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from fairchores.core import (
     order_vector,
     parse_instance_csv,
 )
-from fairchores.shares import natural_object_count
+from fairchores.experiments import gen_synthetic
+from fairchores.shares import natural_object_count, witness_lower, witness_upper
 
 F = Fraction
 
@@ -68,6 +70,29 @@ def test_scaled_is_exact_over_least_common_denominator():
     assert d == 12 and ints == [3, 0, 2, 3, 0, 4]
     assert all(F(ints[j], d) == values[j] for j in range(len(values)))
     assert DisutilityVector((F(0), F(0))).scaled() == ([0, 0], 1)
+
+
+def test_every_construction_path_gives_the_canonical_row():
+    # rows built from integers must carry the same least common denominator
+    # as the Fraction constructor, or equal rows would compare unequal
+    rng = random.Random(14)
+    rows = list(normalize([[2, 4, 0], [0, 0, 0], [3, "1/2", 7], ["1/6", "1/10", 0]]).profile)
+    rows += [order_vector(row)[0] for row in rows]
+    rows += [gen_synthetic(m, rng) for m in (1, 2, 5, 12)]
+    for n in (2, 3, 4):
+        for j in range(1, 30):
+            for m in (None, 6, 12):
+                for make in (witness_upper, witness_lower):
+                    try:
+                        rows.append(make(n, F(j, 30), m).vector)
+                    except DomainError:
+                        pass
+    rows += [DisutilityVector((F(0), F(0))), DisutilityVector(())]
+    for row in rows:
+        rebuilt = DisutilityVector(row.values, row.normalized)
+        assert row == rebuilt and hash(row) == hash(rebuilt), row
+        ints, denom = row.scaled()
+        assert [F(x, denom) for x in ints] == list(row.values), row
 
 
 def test_order_vector_stable():
