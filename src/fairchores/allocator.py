@@ -6,7 +6,8 @@ lift the ordered allocation back to the original objects with a picking
 sequence.  Every agent ends with disutility at most guarantee(n, alpha_i).
 The knife never renormalises a row: an agent's remaining mass is a suffix sum
 of her integer prefix sums.  Every phase reads a row's stored integers
-(`DisutilityVector.ints`), so no row is rescaled.
+(`DisutilityVector.ints`), so no row is rescaled; the lift reads only the
+reduction, each ordered row and the permutation that sorted it.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ class OrderedReduction:
     """Per-agent independently sorted instance plus the sorting permutations.
 
     ``permutations[i][p]`` is the original object index holding agent i's
-    p-th largest disutility.  The lift sorts ``original``'s rows
-    cheapest-first.
+    p-th largest disutility; tied values sit in adjacent positions, their
+    original indices ascending.
     """
 
     ordered: Instance
     permutations: tuple[tuple[int, ...], ...]
-    original: Instance
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class AllocationReport:
 
 def reduce_to_ordered(inst: Instance) -> OrderedReduction:
     ordered_rows, perms = zip(*map(order_vector, inst.profile))
-    return OrderedReduction(Instance(ordered_rows), perms, inst)
+    return OrderedReduction(Instance(ordered_rows), perms)
 
 
 def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
@@ -145,11 +145,12 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
 
     Positions are processed from last (cheapest) to first; the holder of the
     position picks her cheapest not-yet-taken original object (tie: lowest
-    object index).  Each agent walks her own cheapest-first order once, a
-    stable sort of her row, skipping objects already taken.  When position t
-    is processed only m - t objects are gone, so at least one object no
-    costlier than her t-th largest remains; each agent's real bundle
-    therefore costs no more than her ordered bundle.
+    object index).  Each agent walks her cheapest-first order once, skipping
+    taken objects: her ordered row's positions, stably sorted ascending and
+    mapped through her permutation, which lists tied objects by index.  When
+    position t is processed only m - t objects are gone, so at least one
+    object no costlier than her t-th largest remains; each agent's real
+    bundle therefore costs no more than her ordered bundle.
     """
     m = red.ordered.m
     ordered_alloc.validate(m)
@@ -157,8 +158,8 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     for i, b in enumerate(ordered_alloc.bundles):
         for pos in b:
             owner[pos] = i
-    cheapest = [iter(sorted(range(m), key=row.ints.__getitem__))
-                for row in red.original.profile]
+    cheapest = [map(perm.__getitem__, sorted(range(m), key=row.ints.__getitem__))
+                for row, perm in zip(red.ordered.profile, red.permutations)]
     taken: set[int] = set()
     real: list[set[int]] = [set() for _ in range(ordered_alloc.n)]
     for pos in range(m - 1, -1, -1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from fractions import Fraction
 
 from .allocator import agent_reports, allocate
@@ -21,7 +22,6 @@ from .core import (
     ValidationError,
     _check_cell_size,
     _printable,
-    _row_printable,
     as_fraction,
     format_decimal,
     format_instance_csv,
@@ -180,7 +180,7 @@ def _share(args: argparse.Namespace) -> None:
 def _witness(args: argparse.Namespace) -> None:
     maker = witness_upper if args.kind == "upper" else witness_lower
     w = maker(args.n, _alpha(args.alpha), args.m)
-    if not (_row_printable(w.vector) and _printable(w.claimed_mms.denominator)):
+    if not (_printable(w.vector.denom) and _printable(w.claimed_mms.denominator)):
         raise DomainError("--alpha gives a witness too long to print")
     _emit(format_instance_csv(w.instance, comments=(
         f"construction = {w.construction_tag}",
@@ -232,7 +232,11 @@ def _verify(args: argparse.Namespace) -> int:
 
 
 def _synthetic(args: argparse.Namespace) -> None:
-    m_values = tuple(int(t) for t in args.m.split(","))
+    try:
+        m_values = tuple(int(t) for t in args.m.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--m {args.m!r} is not a comma-separated list of integers") from None
     # each instance draws its whole row before the oracle's guard reads it
     for m in m_values:
         if m > MAX_SYNTHETIC_OBJECTS:
@@ -264,9 +268,18 @@ def _ratios(args: argparse.Namespace) -> None:
         # one-heavy-balanced and 1 elsewhere.  The MMS is y/D with y <= D, so
         # the ratio is u*(D/q) / (c*y).  Both have numerator and denominator
         # at most c*D <= max(5, m)*D.
-        if not _row_printable(row, max(5, inst.m)):
+        if not _printable(row.denom * max(5, inst.m)):
             raise ValidationError(f"row {i}: hill share or ratio too long to print")
-    records = [instance_ratio(v, args.n) for v in inst.profile]
+    # checked here, not by the first share query: every row may be skipped
+    if args.n < 2:
+        raise DomainError("need an integer agent count n >= 2")
+    records = []
+    for i, row in enumerate(inst.profile, start=1):
+        alpha = row.alpha()
+        if 0 < alpha < 1:
+            records.append(instance_ratio(row, args.n))
+        else:
+            warnings.warn(f"skipping row {i}: alpha={alpha} outside (0, 1)")
     _emit(records_csv(records, f"n={args.n} source={args.instance}"), args.out)
 
 

@@ -51,7 +51,8 @@ class DisutilityVector:
     """One agent's additive disutilities over m objects, stored as integers.
 
     Entry j is ``ints[j] / denom``, with ``denom`` the least common
-    denominator of the entries, so equal rows have equal fields.
+    denominator of the entries, so equal rows have equal fields.  The
+    constructor reads each entry as `as_fraction` does.
     ``normalized`` is True when the entries sum to exactly 1; an all-zero
     row produced by normalising a zero-total agent carries False.
     """
@@ -62,7 +63,8 @@ class DisutilityVector:
 
     # tuple([...]), not tuple(generator): a tuple built from an iterator of
     # unknown length is resized, which fills CPython's per-size free lists
-    def __init__(self, values: Sequence, normalized: bool = False):
+    def __init__(self, values: Iterable, normalized: bool = False):
+        values = [as_fraction(x) for x in values]
         denom = math.lcm(*{x.denominator for x in values})
         self._fill(tuple([x.numerator * (denom // x.denominator) for x in values]),
                    denom, normalized)
@@ -170,7 +172,7 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     """
     profile = []
     for r in raw:
-        row = DisutilityVector([as_fraction(x) for x in r])
+        row = DisutilityVector(r)
         total = sum(row.ints)
         if total:
             row = DisutilityVector._of_view(row.ints, total, normalized=True)
@@ -273,21 +275,15 @@ def _check_cell_size(tok: str) -> None:
 
 
 def _printable(bound: int) -> bool:
-    """Whether an integer of at most `bound` fits the int-to-str limit."""
+    """Whether an integer of at most `bound` fits the int-to-str limit.
+
+    A normalised row's entries and bundle costs are at most 1 and have
+    denominators dividing its common denominator ``denom``, so
+    ``_printable(row.denom)`` bounds every number printed for the row.
+    """
     limit = sys.get_int_max_str_digits()
     # below 8**limit it is short enough, so 10**limit is rarely built
     return not limit or bound.bit_length() <= 3 * limit or bound < 10 ** limit
-
-
-def _row_printable(row: DisutilityVector, factor: int = 1) -> bool:
-    """Whether every number printed for a normalised row fits the int-to-str limit.
-
-    Its entries and bundle costs are at most 1 and have denominators dividing
-    the row's common denominator D, so bounding D bounds them all.  A caller
-    printing numbers whose numerator and denominator are at most factor*D
-    passes that factor.
-    """
-    return _printable(row.denom * factor)
 
 
 def parse_instance_csv(text: str) -> Instance:
@@ -317,7 +313,7 @@ def parse_instance_csv(text: str) -> Instance:
         raise ValidationError("instance file has a header but no agent rows")
     inst = normalize(rows)
     for (lineno, _), row in zip(lines[1:], inst.profile):
-        if not _row_printable(row):
+        if not _printable(row.denom):
             raise ValidationError(f"line {lineno}: normalised row too long to print")
     return inst
 

@@ -181,7 +181,11 @@ class TestInputChecks:
         (("experiment", "synthetic", "--n", "3", "--m", "2", "--seed", "0"),
          "m must be at least n for ratio experiments"),
         (("mms", "--instance", "{inst}", "--n", "0"), "need n >= 1"),
-    ], ids=["overlap", "short", "points", "agents", "objects", "mms-n"])
+        (("experiment", "synthetic", "--n", "2", "--m", "6,x", "--seed", "0"),
+         "--m '6,x' is not a comma-separated list of integers"),
+        (("experiment", "synthetic", "--n", "2", "--m", "", "--seed", "0"),
+         "--m '' is not a comma-separated list of integers"),
+    ], ids=["overlap", "short", "points", "agents", "objects", "mms-n", "m-token", "m-empty"])
     def test_rejected_input_is_a_usage_error(self, capsys, tmp_path, argv, message):
         files = {"inst": "object_1,object_2,object_3\n1,1,1\n2,1,1\n",
                  "overlap": "1,2\n2,3\n", "short": "1,2,3\n"}
@@ -267,6 +271,22 @@ class TestInputChecks:
             code, out, err = run(capsys, "verify", "--instance", str(inst),
                                  "--allocation", str(a))
             assert code == 2 and out == "" and "line 2" in err and why in err, bundle
+
+    def test_ratios_skips_rows_outside_the_share_domain(self, capsys, tmp_path):
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2,object_3\n1,0,0\n0,0,0\n3,2,1\n")
+        with pytest.warns(UserWarning) as caught:
+            code, out, err = run(capsys, "experiment", "ratios", "--instance", str(inst),
+                                 "--n", "2")
+        assert code == 0, err
+        assert out.splitlines()[1:] == ["n,m,alpha,hill_share,mms,ratio", "2,3,1/2,1/2,1/2,1"]
+        assert [str(w.message) for w in caught] == [
+            "skipping row 1: alpha=1 outside (0, 1)", "skipping row 2: alpha=0 outside (0, 1)"]
+        # --n is checked before any row is skipped, so a file of skipped rows exits 2
+        inst.write_text("object_1,object_2,object_3\n1,0,0\n")
+        code, out, err = run(capsys, "experiment", "ratios", "--instance", str(inst),
+                             "--n", "1")
+        assert (code, out, err) == (2, "", "error: need an integer agent count n >= 2\n")
 
     def test_ratios_empty_file_exit_2(self, capsys, tmp_path):
         p = tmp_path / "empty.csv"

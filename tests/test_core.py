@@ -95,6 +95,17 @@ def test_every_construction_path_gives_the_canonical_row():
         assert [F(x, denom) for x in ints] == list(row.values), row
 
 
+def test_constructor_converts_its_entries():
+    # entries are read as as_fraction reads them, so no caller converts first
+    assert DisutilityVector((0.5, 0.5), True) == DisutilityVector((F(1, 2), F(1, 2)), True)
+    assert DisutilityVector((0.35, 0.65), True).values == (F(7, 20), F(13, 20))
+    assert DisutilityVector(("1/3", "2/3"), True) == DisutilityVector((F(1, 3), F(2, 3)), True)
+    row = DisutilityVector((F(1, 4) * k for k in range(3)))
+    assert (row.ints, row.denom, row.normalized) == ((0, 1, 2), 4, False)
+    with pytest.raises(ValueError):
+        DisutilityVector(("abc",))
+
+
 def test_order_vector_stable():
     v = DisutilityVector((F(1, 10), F(2, 5), F(1, 2)), True)
     o, perm = order_vector(v)
