@@ -152,7 +152,7 @@ def _format_bundle(b) -> str:
 
 
 def _alpha(token: str) -> Fraction:
-    """The exact --alpha, rejected first if the token is too long to print back."""
+    """The exact --alpha, length-checked here too so that the error names it."""
     try:
         _check_cell_size(token)
     except ValueError as exc:
@@ -296,6 +296,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a process of its own prints each warning as one line; in-process callers
+    # of main keep their own warning display
+    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     sys.exit(main())
 
 

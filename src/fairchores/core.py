@@ -29,10 +29,29 @@ class DomainError(ValueError):
     """A query outside the mathematical domain of a formula."""
 
 
+def _check_cell_size(tok: str) -> None:
+    """Reject an entry too long to print back under sys.get_int_max_str_digits().
+
+    Its numerator and denominator have no more digits than the token has
+    characters before the exponent, plus the exponent, so the check runs on
+    the text, before a Fraction like 10**200000 is built.  Fraction ignores
+    surrounding whitespace, so the check does too.
+    """
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = tok.strip().lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    digits = len(mantissa)
+    if exponent.isdigit():
+        digits += int(exponent) if len(exponent) <= len(str(limit)) else limit + 1
+    if limit and digits > limit:
+        raise ValueError(f"entry has more than {limit} digits")
+
+
 def as_fraction(x) -> Fraction:
     """Convert ints, Fractions, floats and strings ('7/20', '0.35') exactly.
 
-    A zero denominator ('1/0') is a ValueError, like any other malformed input.
+    Text too long to print back (`_check_cell_size`) and a zero denominator
+    ('1/0') are ValueErrors, like any other malformed input.
     """
     if isinstance(x, Fraction):
         return x
@@ -40,6 +59,8 @@ def as_fraction(x) -> Fraction:
         # floats are converted through their shortest repr so that "0.35"
         # round-trips to 7/20 rather than the binary expansion
         return Fraction(repr(x))
+    if isinstance(x, str):
+        _check_cell_size(x)
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -170,14 +191,13 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     Each row is divided by its total; a zero-total row is kept all-zero and
     flagged via ``normalized=False``.
     """
-    profile = []
-    for r in raw:
-        row = DisutilityVector(r)
-        total = sum(row.ints)
-        if total:
-            row = DisutilityVector._of_view(row.ints, total, normalized=True)
-        profile.append(row)
-    return Instance(tuple(profile))
+    return Instance(tuple([_normalized(DisutilityVector(r)) for r in raw]))
+
+
+def _normalized(row: DisutilityVector) -> DisutilityVector:
+    """The row divided by its total; a zero-total row is returned as it is."""
+    total = sum(row.ints)
+    return DisutilityVector._of_view(row.ints, total, normalized=True) if total else row
 
 
 def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]]:
@@ -257,23 +277,6 @@ def ceil_inv(alpha: Fraction) -> int:
 # entries as decimal strings or p/q fractions.  Lines starting with '#' and
 # blank lines are ignored.
 
-def _check_cell_size(tok: str) -> None:
-    """Reject an entry too long to print back under sys.get_int_max_str_digits().
-
-    Its numerator and denominator have no more digits than the token has
-    characters before the exponent, plus the exponent, so the check runs on
-    the text, before a Fraction like 10**200000 is built.
-    """
-    limit = sys.get_int_max_str_digits()
-    mantissa, _, exponent = tok.lower().partition("e")
-    exponent = exponent.lstrip("+-").replace("_", "")
-    digits = len(mantissa)
-    if exponent.isdigit():
-        digits += int(exponent) if len(exponent) <= len(str(limit)) else limit + 1
-    if limit and digits > limit:
-        raise ValueError(f"entry has more than {limit} digits")
-
-
 def _printable(bound: int) -> bool:
     """Whether an integer of at most `bound` fits the int-to-str limit.
 
@@ -295,27 +298,21 @@ def parse_instance_csv(text: str) -> Instance:
     m = len(header)
     if header != [f"object_{j}" for j in range(1, m + 1)]:
         raise ValidationError("bad header, expected object_1,...,object_m")
-    rows = []
+    profile = []
     for lineno, ln in lines[1:]:
         toks = [t.strip() for t in ln.split(",")]
         if len(toks) != m:
             raise ValidationError(f"line {lineno}: expected {m} entries, got {len(toks)}")
         try:
-            for t in toks:
-                _check_cell_size(t)
-            row = [as_fraction(t) for t in toks]
+            row = _normalized(DisutilityVector(toks))
+            if not _printable(row.denom):
+                raise ValueError("normalised row too long to print")
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from exc
-        if any(x < 0 for x in row):
-            raise ValidationError(f"line {lineno}: negative entry")
-        rows.append(row)
-    if not rows:
+        profile.append(row)
+    if not profile:
         raise ValidationError("instance file has a header but no agent rows")
-    inst = normalize(rows)
-    for (lineno, _), row in zip(lines[1:], inst.profile):
-        if not _printable(row.denom):
-            raise ValidationError(f"line {lineno}: normalised row too long to print")
-    return inst
+    return Instance(tuple(profile))
 
 
 def read_instance_csv(path) -> Instance:

@@ -315,6 +315,11 @@ class TestInputChecks:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "--alpha" in err, err
 
+    def test_alpha_length_ignores_surrounding_whitespace(self, capsys):
+        code, out, err = run(capsys, "share", "--n", "2", "--alpha", "1e-5000 ",
+                             "--kind", "upper")
+        assert code == 2 and out == "" and "--alpha: entry has more than" in err, err
+
     def test_curve_points_capped(self, capsys, monkeypatch):
         def no_grid(*_):
             raise AssertionError("grid built before --points was checked")
@@ -406,3 +411,33 @@ def test_one_parser_serves_every_call(monkeypatch, tmp_path):
         golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
         assert run_case(CASES[name], tmp_path) == golden, name
     assert build_parser() is build_parser()
+
+
+def run_module(*argv, cwd=None):
+    """`python -m fairchores.cli *argv` in a process of its own, importing ./src."""
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "fairchores.cli", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessEntry:
+    def test_warnings_print_one_line_each(self, tmp_path):
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2,object_3\n1,0,0\n0,0,0\n3,2,1\n")
+        proc = run_module("experiment", "ratios", "--n", "2", "--instance", str(inst))
+        assert (proc.returncode, proc.stderr) == (
+            0, "warning: skipping row 1: alpha=1 outside (0, 1)\n"
+               "warning: skipping row 2: alpha=0 outside (0, 1)\n")
+        proc = run_module("experiment", "curve", "--n", "3", "--m", "5", "--points", "12")
+        assert (proc.returncode, proc.stderr) == (0, "".join(
+            f"warning: skipping alpha={a}/13: m=5 < ceil(1/alpha)={c}: no normalised "
+            f"vector with max entry {a}/13 exists on 5 objects\n" for a, c in ((1, 13), (2, 7))))
+
+    @pytest.mark.parametrize("argv, code", [
+        (("share", "--n", "2", "--alpha", "1/3", "--kind", "upper"), 0),
+        (("verify", "--instance", "small.csv", "--allocation", "alloc_bad.txt"), 1),
+        (("share", "--n", "2", "--alpha", "abc", "--kind", "upper"), 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_exit_code(self, argv, code):
+        proc = run_module(*argv, cwd=GOLDEN / "inputs")
+        assert proc.returncode == code, proc.stderr

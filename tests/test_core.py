@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +32,48 @@ def test_as_fraction_exact_decimal():
     assert as_fraction("0.35") == F(7, 20)
     assert as_fraction("7/20") == F(7, 20)
     assert as_fraction(3) == F(3)
+
+
+def test_as_fraction_measures_text_without_its_whitespace():
+    # Fraction ignores surrounding whitespace, so the digit guard must too
+    for text in ("1e5000", "1e5000 ", " 1e-5000\n"):
+        with pytest.raises(ValueError, match="more than"):
+            as_fraction(text)
+    assert as_fraction(" 7/20 ") == F(7, 20)
+
+
+# Each call's text would build an integer of 10**8 digits.  They run in a
+# process of their own, so that a missing guard fails on the timeout instead
+# of stalling the suite.
+OVER_LONG_CALLS = (
+    'DisutilityVector(["1e100000000", "1"])',
+    'normalize([["1e100000000", 1]])',
+    'hill_share(2, "1e-100000000")',
+    'witness_upper(2, "1e-100000000")',
+    'guarantee(2, "1e-100000000")',
+    'ceil_inv("1e-100000000")',
+)
+
+
+def test_over_long_text_is_rejected_at_once():
+    script = (
+        "import sys, time\n"
+        "from fairchores import *\n"
+        "for call in sys.argv[1:]:\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError as exc:\n"
+        "        print(time.perf_counter() - start < 1, type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *OVER_LONG_CALLS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    limit = sys.get_int_max_str_digits()
+    expected = f"True ValueError entry has more than {limit} digits"
+    assert proc.stdout.splitlines() == [expected] * len(OVER_LONG_CALLS), proc.stderr
 
 
 def test_normalize_rows_sum_to_one():
@@ -221,6 +266,21 @@ def test_csv_rejects_entries_too_long_to_print():
         parse_instance_csv("object_1\n1e" + "9" * 30 + "\n")
     inst = parse_instance_csv(f"object_1,object_2\n1e{limit - 1},1\n")
     assert str(inst.profile[0].values[1])  # at the limit, still printable
+
+
+def test_csv_errors_name_their_line():
+    head = "object_1,object_2\n1,1\n"
+    for row, why in (("-1,2", "negative disutility entry"), ("1,x", "Invalid literal"),
+                     ("1e4299,1e-4299", "normalised row too long to print")):
+        with pytest.raises(ValidationError, match=f"^line 3: {why}"):
+            parse_instance_csv(head + row + "\n")
+
+
+def test_csv_first_bad_line_wins():
+    # a row too long once normalised on line 2 is reported before a
+    # malformed token on line 3: each line is read and checked in turn
+    with pytest.raises(ValidationError, match="^line 2: normalised row"):
+        parse_instance_csv("object_1,object_2\n1e4299,1e-4299\nabc,1\n")
 
 
 def test_csv_comments_and_fractions():
