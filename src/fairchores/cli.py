@@ -290,7 +290,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args) or 0
-    except (SearchLimitError, OSError, ValueError) as exc:
+    # a Warning reaches here only when raised as an error (`python -W error`)
+    except (SearchLimitError, OSError, ValueError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

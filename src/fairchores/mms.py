@@ -1,19 +1,27 @@
 """Exact MinMaxShare oracle.
 
-A depth-first branch-and-bound over descending-sorted objects computes the
-exact min-max n-partition value.  All pruning happens on integers: the search
-runs on the row's stored integers (`DisutilityVector.ints`, the entries over
-their least common denominator `denom`), so no `Fraction` sum occurs inside it.
+The exact min-max n-partition value is computed on the row's stored integers
+(`DisutilityVector.ints`, the entries over their least common denominator
+`denom`), objects sorted descending, so no `Fraction` sum occurs in a search.
 
-The search stops as soon as its incumbent meets a root lower bound, the
-largest of three (Dell'Amico & Martello, 1995): the largest object, the
-average load `ceil(total/n)`, and the pigeonhole count, by which some bundle
-holds k+1 of the kn+1 largest objects.
+A greedy seed answers the row when it meets the root lower bound, the largest
+of three (Dell'Amico & Martello, 1995): the largest object, the average load
+`ceil(total/n)`, and the pigeonhole count, by which some bundle holds k+1 of
+the kn+1 largest objects.  Otherwise the path depends on n:
+
+- n = 2: meet-in-the-middle subset sums (Horowitz & Sahni, 1974), the
+  largest subset sum at most total/2 from the sorted tables of two halves;
+- n = 3: the bundle of the largest object is enumerated from the same
+  tables, within the sums that could beat the incumbent, and the rest is
+  split by the n = 2 routine (sequential partitioning, after Schreiber,
+  Korf & Moffitt, 2018); it stops once the incumbent meets the bound;
+- n >= 4: a depth-first branch and bound, stopping at the same bound.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 
@@ -51,19 +59,101 @@ def _lower_bound(items: list[int], n: int) -> int:
     return max(-(-prefix[-1] // n), max(pigeonhole, default=0))
 
 
+def _subsets(items: list[int], lo: int, hi: int) -> list[int]:
+    """Every subset of items[lo:hi] as one key `sum << m | mask`, ascending.
+
+    Bit i of the mask marks items[i], m = len(items).  Equal neighbours are
+    taken first copy first, so ties add no duplicate multisets.  Keys of
+    disjoint subsets add up to the key of their union.
+    """
+    m = len(items)
+    keys, added = [0], []
+    for i in range(lo, hi):
+        step = items[i] << m | 1 << i
+        added = [k + step for k in (added if i > lo and items[i] == items[i - 1] else keys)]
+        keys += added
+    keys.sort()
+    return keys
+
+
+def _two_way(items: list[int]) -> tuple[int, int]:
+    """Exact min-max 2-partition by meet-in-the-middle (Horowitz-Sahni).
+
+    Returns the value and the mask of a lighter bundle: the subset with the
+    largest sum s <= total/2, found by bisecting the right half's keys for
+    each left subset.
+    """
+    m, total = len(items), sum(items)
+    half = total // 2
+    left, right = _subsets(items, 0, m // 2), _subsets(items, m // 2, m)
+    best = 0
+    for key in left:
+        s = key >> m
+        if s > half:
+            break
+        key += right[bisect_right(right, (half - s) << m | (1 << m) - 1) - 1]
+        if key > best:
+            best = key
+            if key >> m == half:
+                break
+    return total - (best >> m), best & (1 << m) - 1
+
+
+def _three_way(items: list[int], best: int, assign: list[int],
+               lower: int) -> tuple[int, list[int]]:
+    """Min-max 3-partition from the incumbent (best, assign).
+
+    Enumerates the bundle that holds items[0] from the half tables of
+    items[1:], keeping its sum within [total - 2(best-1), best-1], and splits
+    the rest by `_two_way`; the window narrows as `best` falls.
+    """
+    m, total = len(items), sum(items)
+    h = (m + 1) // 2
+    left, right = _subsets(items, 1, h), _subsets(items, h, m)
+    first = items[0] << m | 1
+    for a in left:
+        start = items[0] + (a >> m)
+        if start >= best:
+            break
+        lo = bisect_left(right, (total - 2 * (best - 1) - start) << m)
+        for b in right[lo:bisect_left(right, (best - start) << m)]:
+            key = a + b + first
+            load = key >> m
+            # best may have fallen since the slice was taken
+            if load >= best or total - load > 2 * (best - 1):
+                continue
+            others = [i for i in range(m) if not key >> i & 1]
+            value, split = _two_way([items[i] for i in others])
+            value = max(load, value)
+            if value < best:
+                best, assign = value, [0] * m
+                for k, i in enumerate(others):
+                    assign[i] = 1 + (split >> k & 1)
+                if best == lower:
+                    return best, assign
+    return best, assign
+
+
 def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
     """Exact min over n-partitions of the max bundle sum; items descending.
 
     The search returns once the incumbent meets `_lower_bound` (the largest
-    object, the average load and the pigeonhole count).  It replaces the
-    incumbent only on a strict improvement, so a stronger bound ends the
-    proof of optimality sooner without changing the value or allocation.
+    object, the average load and the pigeonhole count).  Two and three
+    bundles are solved from subset-sum tables (`_two_way`, `_three_way`);
+    more run a depth-first branch and bound, which replaces the incumbent
+    only on a strict improvement, so a stronger bound ends the proof of
+    optimality sooner without changing the value or allocation.
     """
     lower = _lower_bound(items, n)
     best, best_assign = _greedy_makespan(items, n)
     if best == lower:
         return best, best_assign
     m = len(items)
+    if n == 2:
+        best, mask = _two_way(items)
+        return best, [mask >> i & 1 for i in range(m)]
+    if n == 3:
+        return _three_way(items, best, best_assign, lower)
     loads = [0] * n
     assign = [0] * m
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-validate the solvers.
 
 Deliberately naive: the MMS oracles enumerate all n**m assignments with no
-pruning, the knife renormalises every agent's remaining values at every
+pruning (`bnb_mms`, a branch and bound, is the reference for sizes beyond
+that reach), the knife renormalises every agent's remaining values at every
 level, the lift scans every object for each position, and the share
 references evaluate each piece in Fraction arithmetic, locating alpha by
 comparing it with the interval ends as Fractions.  Nothing from the
@@ -30,6 +31,45 @@ def naive_mms(values, n: int) -> Fraction:
         if best is None or worst < best:
             best = worst
     return best if best is not None else F(0)
+
+
+def bnb_mms(items, n: int) -> int:
+    """min over n-partitions of the max bundle sum of positive integers.
+
+    A depth-first branch and bound like the package's search for n >= 4,
+    written out for any n: objects in descending order, bundles tried least
+    loaded first (so the first leaf is the greedy seed), equal loads tried
+    once, equal objects in non-decreasing bundle order, and a stop at
+    max(largest object, ceil(total/n)).
+    """
+    items = sorted(items, reverse=True)
+    lower = max(items[:1] + [-(-sum(items) // n)])
+    loads = [0] * n
+    best = sum(items) + 1
+
+    def recurse(i, cur_max, min_bundle):
+        nonlocal best
+        if cur_max >= best:
+            return False
+        if i == len(items):
+            best = cur_max
+            return best == lower
+        w = items[i]
+        tried = set()
+        start = min_bundle if i > 0 and items[i - 1] == w else 0
+        for b in sorted(range(start, n), key=loads.__getitem__):
+            if loads[b] in tried:
+                continue
+            tried.add(loads[b])
+            loads[b] += w
+            done = recurse(i + 1, max(cur_max, loads[b]), b)
+            loads[b] -= w
+            if done:
+                return True
+        return False
+
+    recurse(0, 0, 0)
+    return best
 
 
 def naive_lex_key(values, n: int):

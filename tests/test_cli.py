@@ -413,11 +413,11 @@ def test_one_parser_serves_every_call(monkeypatch, tmp_path):
     assert build_parser() is build_parser()
 
 
-def run_module(*argv, cwd=None):
-    """`python -m fairchores.cli *argv` in a process of its own, importing ./src."""
+def run_module(*argv, cwd=None, flags=()):
+    """`python *flags -m fairchores.cli *argv` in a process of its own, importing ./src."""
     env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
-    return subprocess.run([sys.executable, "-m", "fairchores.cli", *argv], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-m", "fairchores.cli", *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
 
 
 class TestProcessEntry:
@@ -432,6 +432,20 @@ class TestProcessEntry:
         assert (proc.returncode, proc.stderr) == (0, "".join(
             f"warning: skipping alpha={a}/13: m=5 < ceil(1/alpha)={c}: no normalised "
             f"vector with max entry {a}/13 exists on 5 objects\n" for a, c in ((1, 13), (2, 7))))
+
+    def test_warning_raised_as_error_exits_2(self, tmp_path):
+        # exit 1 is kept for a guarantee violation found by verify
+        inst = tmp_path / "r.csv"
+        inst.write_text("object_1,object_2,object_3\n1,0,0\n3,2,1\n")
+        proc = run_module("experiment", "ratios", "--n", "2", "--instance", str(inst),
+                          flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: skipping row 1: alpha=1 outside (0, 1)\n")
+        proc = run_module("experiment", "curve", "--n", "3", "--m", "5", "--points", "12",
+                          flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: skipping alpha=1/13: m=5 < ceil(1/alpha)=13: no normalised vector "
+               "with max entry 1/13 exists on 5 objects\n")
 
     @pytest.mark.parametrize("argv, code", [
         (("share", "--n", "2", "--alpha", "1/3", "--kind", "upper"), 0),

@@ -1,10 +1,13 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from fairchores.core import Allocation, DisutilityVector, ValidationError
+from fairchores.experiments import gen_synthetic
 from fairchores.mms import (
     SearchLimitError,
     _greedy_makespan,
@@ -16,7 +19,7 @@ from fairchores.mms import (
 )
 from fairchores.shares import witness_lower, witness_upper
 
-from oracles import naive_lex_key, naive_mms
+from oracles import bnb_mms, naive_lex_key, naive_mms
 from test_acceptance import share_grid
 
 F = Fraction
@@ -88,6 +91,97 @@ class TestExactMMS:
                 prev = x
             assert exact_mms(v, 6) == v.alpha()
             assert exact_mms(v, 9) == v.alpha()
+
+
+def searched(v, n):
+    """True iff the greedy seed misses the root bound, so the oracle searches."""
+    items = sorted((x for x in v.ints if x > 0), reverse=True)
+    return _greedy_makespan(items, n)[0] != _lower_bound(items, n)
+
+
+def checked_value(v, n):
+    """minmax_partition's value, once its allocation is checked: a partition
+    of v's objects into n bundles whose largest bundle carries that value."""
+    val, alloc = minmax_partition(v, n)
+    alloc.validate(v.m)
+    assert alloc.n == n
+    assert max(v.value_of(b) for b in alloc.bundles) == val
+    return val
+
+
+class TestTwoAndThreeBundles:
+    """n = 2 and n = 3 run on subset-sum tables, not the branch and bound.
+    Rows that the greedy seed answers never reach them, so every test counts
+    the rows that do."""
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(29)
+        makers = (
+            lambda m: random_normalized(rng, m),
+            lambda m: vec(*(rng.choice((2, 2, 3, 3, 5)) for _ in range(m))),
+            lambda m: vec(*(rng.choice((0, 0, 3, 4, 5, 6, 8)) for _ in range(m))),
+        )
+        for n in (2, 3):
+            for make in makers:
+                reached = 0
+                for _ in range(1000):
+                    # n**m assignments: up to 512 at n = 2, 6,561 at n = 3
+                    v = make(rng.randint(2, 9 if n == 2 else 8))
+                    if searched(v, n):
+                        assert checked_value(v, n) == naive_mms(v.values, n), (v.values, n)
+                        reached += 1
+                        if reached == 12:
+                            break
+                assert reached == 12
+
+    @pytest.mark.parametrize("n, m", [(2, 18), (3, 16)])
+    def test_matches_branch_and_bound(self, n, m):
+        rng = random.Random(f"mitm:{n}:{m}")
+        reached = 0
+        for _ in range(40):
+            v = gen_synthetic(m, rng)
+            assert checked_value(v, n) == F(bnb_mms(v.ints, n), v.denom)
+            reached += searched(v, n)
+        assert reached >= 20
+
+    # Values of the branch and bound on the seeded grid vectors: three per n
+    # from random.Random(f"grid:{n}:24").  It took 0.2-0.4 s per vector at
+    # n = 2 and 5-16 s at n = 3 (Python 3.11.7), too long to rerun here.
+    GRID_24 = {
+        2: ("500000003/1000000000", "500000057/1000000000", "500000039/1000000000"),
+        3: ("333333967/1000000000", "10416693/31250000", "333333713/1000000000"),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_grid_values(self, n):
+        rng = random.Random(f"grid:{n}:24")
+        for want in self.GRID_24[n]:
+            v = gen_synthetic(24, rng)
+            assert searched(v, n)
+            start = time.perf_counter()
+            assert checked_value(v, n) == F(want)
+            # about 5-10 ms each; the branch and bound needs 0.2 s and more
+            assert time.perf_counter() - start < 0.5
+
+    def test_tie_heavy_rows(self):
+        # few distinct values: many subsets share a sum; bounded so that ties
+        # do not bring back the search time of the branch and bound
+        rng = random.Random(31)
+        reached = 0
+        slowest = 0.0
+        for k in (2, 3, 5, 10, 30, 100):
+            for n in (2, 3):
+                for _ in range(80):
+                    v = vec(*(rng.randint(1, k) for _ in range(rng.randint(18, 24))))
+                    if not searched(v, n):
+                        continue
+                    reached += 1
+                    start = time.perf_counter()
+                    val = checked_value(v, n)
+                    slowest = max(slowest, time.perf_counter() - start)
+                    assert val == F(bnb_mms(v.ints, n), v.denom), (v.ints, n)
+        assert reached >= 200
+        assert slowest < 0.25
 
 
 class TestLowerBound:
