@@ -76,7 +76,8 @@ class AllocationReport:
 
 
 def reduce_to_ordered(inst: Instance) -> OrderedReduction:
-    ordered_rows, perms = zip(*map(order_vector, inst.profile))
+    # unpacked from a list, not an iterator: see core.DisutilityVector.__init__
+    ordered_rows, perms = zip(*[order_vector(v) for v in inst.profile])
     return OrderedReduction(Instance(ordered_rows), perms)
 
 
@@ -167,7 +168,7 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
         pick = next(j for j in cheapest[a] if j not in taken)
         taken.add(pick)
         real[a].add(pick)
-    return Allocation(tuple(frozenset(b) for b in real))
+    return Allocation(tuple([frozenset(b) for b in real]))
 
 
 def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:

@@ -11,11 +11,12 @@ the kn+1 largest objects.  Otherwise the path depends on n:
 
 - n = 2: meet-in-the-middle subset sums (Horowitz & Sahni, 1974), the
   largest subset sum at most total/2 from the sorted tables of two halves;
-- n = 3: the bundle of the largest object is enumerated from the same
-  tables, within the sums that could beat the incumbent, and the rest is
-  split by the n = 2 routine (sequential partitioning, after Schreiber,
-  Korf & Moffitt, 2018); it stops once the incumbent meets the bound;
-- n >= 4: a depth-first branch and bound, stopping at the same bound.
+- n = 3 and 4: sequential partitioning (after Schreiber, Korf & Moffitt,
+  2018): the bundle of the largest object is enumerated from the same
+  tables, heaviest first and within the sums that could beat the incumbent,
+  and the rest is split into n-1 bundles the same way, down to the n = 2
+  routine; it stops once the incumbent meets the bound;
+- n >= 5: a depth-first branch and bound, stopping at the same bound.
 """
 
 from __future__ import annotations
@@ -76,12 +77,12 @@ def _subsets(items: list[int], lo: int, hi: int) -> list[int]:
     return keys
 
 
-def _two_way(items: list[int]) -> tuple[int, int]:
+def _two_way(items: list[int]) -> tuple[int, list[int]]:
     """Exact min-max 2-partition by meet-in-the-middle (Horowitz-Sahni).
 
-    Returns the value and the mask of a lighter bundle: the subset with the
-    largest sum s <= total/2, found by bisecting the right half's keys for
-    each left subset.
+    Returns the value and the assignment, with bundle 1 the lighter: the
+    subset with the largest sum s <= total/2, found by bisecting the right
+    half's keys for each left subset.
     """
     m, total = len(items), sum(items)
     half = total // 2
@@ -96,40 +97,60 @@ def _two_way(items: list[int]) -> tuple[int, int]:
             best = key
             if key >> m == half:
                 break
-    return total - (best >> m), best & (1 << m) - 1
+    return total - (best >> m), [best >> i & 1 for i in range(m)]
 
 
-def _three_way(items: list[int], best: int, assign: list[int],
-               lower: int) -> tuple[int, list[int]]:
-    """Min-max 3-partition from the incumbent (best, assign).
+def _sequential(items: list[int], n: int, best: int, assign: list[int],
+                floor: int) -> tuple[int, list[int]]:
+    """Min-max n-partition, n >= 3, from the incumbent (best, assign); items
+    descending.
 
+    Returns an optimum, or the first partition found at or below the larger
+    of the lower bound and `floor`.  A caller may pass a `best` below the
+    value of `assign` as a cutoff: a returned value of at least `best` then
+    says that no partition below it exists, and its assignment is not used.
     Enumerates the bundle that holds items[0] from the half tables of
-    items[1:], keeping its sum within [total - 2(best-1), best-1], and splits
-    the rest by `_two_way`; the window narrows as `best` falls.
+    items[1:], heaviest first, keeping its sum within
+    [total - (n-1)(best-1), best-1], and splits the rest into n-1 bundles:
+    two by `_two_way`, more by calling itself with that sum as the floor and
+    `best` as the cutoff.  The window narrows as `best` falls.
     """
-    m, total = len(items), sum(items)
+    m = len(items)
+    stop = max(_lower_bound(items, n), floor)
+    if best <= stop:
+        return best, assign
+    total = sum(items)
     h = (m + 1) // 2
     left, right = _subsets(items, 1, h), _subsets(items, h, m)
     first = items[0] << m | 1
-    for a in left:
+    for a in reversed(left):
         start = items[0] + (a >> m)
         if start >= best:
+            continue
+        lo = bisect_left(right, (total - (n - 1) * (best - 1) - start) << m)
+        if lo == len(right):
             break
-        lo = bisect_left(right, (total - 2 * (best - 1) - start) << m)
-        for b in right[lo:bisect_left(right, (best - start) << m)]:
-            key = a + b + first
+        for j in range(bisect_left(right, (best - start) << m) - 1, lo - 1, -1):
+            key = a + right[j] + first
             load = key >> m
-            # best may have fallen since the slice was taken
-            if load >= best or total - load > 2 * (best - 1):
+            # best may have fallen since the window was taken
+            if load >= best:
                 continue
+            if total - load > (n - 1) * (best - 1):
+                break
             others = [i for i in range(m) if not key >> i & 1]
-            value, split = _two_way([items[i] for i in others])
+            rest = [items[i] for i in others]
+            if n == 3:
+                value, split = _two_way(rest)
+            else:
+                seed, split = _greedy_makespan(rest, n - 1)
+                value, split = _sequential(rest, n - 1, min(seed, best), split, load)
             value = max(load, value)
             if value < best:
                 best, assign = value, [0] * m
                 for k, i in enumerate(others):
-                    assign[i] = 1 + (split >> k & 1)
-                if best == lower:
+                    assign[i] = 1 + split[k]
+                if best <= stop:
                     return best, assign
     return best, assign
 
@@ -138,8 +159,8 @@ def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
     """Exact min over n-partitions of the max bundle sum; items descending.
 
     The search returns once the incumbent meets `_lower_bound` (the largest
-    object, the average load and the pigeonhole count).  Two and three
-    bundles are solved from subset-sum tables (`_two_way`, `_three_way`);
+    object, the average load and the pigeonhole count).  Two to four
+    bundles are solved from subset-sum tables (`_two_way`, `_sequential`);
     more run a depth-first branch and bound, which replaces the incumbent
     only on a strict improvement, so a stronger bound ends the proof of
     optimality sooner without changing the value or allocation.
@@ -148,12 +169,11 @@ def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
     best, best_assign = _greedy_makespan(items, n)
     if best == lower:
         return best, best_assign
-    m = len(items)
     if n == 2:
-        best, mask = _two_way(items)
-        return best, [mask >> i & 1 for i in range(m)]
-    if n == 3:
-        return _three_way(items, best, best_assign, lower)
+        return _two_way(items)
+    if n <= 4:
+        return _sequential(items, n, best, best_assign, lower)
+    m = len(items)
     loads = [0] * n
     assign = [0] * m
 
@@ -215,7 +235,7 @@ def minmax_partition(
     for pos, b in enumerate(assign):
         bundles[b].add(idx[pos])
     bundles[0].update(zeros)
-    return F(opt, denom), Allocation(tuple(frozenset(b) for b in bundles))
+    return F(opt, denom), Allocation(tuple([frozenset(b) for b in bundles]))
 
 
 def exact_mms(v: DisutilityVector, n: int, **limits) -> Fraction:
@@ -267,4 +287,4 @@ def lex_minmax(v: DisutilityVector, n: int, *, max_objects: int = 12) -> Allocat
     bundles = [set() for _ in range(n)]
     for j, b in enumerate(best_rgs):
         bundles[b].add(j)
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(tuple([frozenset(b) for b in bundles]))

@@ -20,11 +20,12 @@ F = Fraction
 
 
 def naive_mms(values, n: int) -> Fraction:
-    """min over all n**m assignments of the max bundle sum."""
+    """min over all n**m assignments of the max bundle sum; integer values
+    are summed as integers."""
     m = len(values)
     best = None
     for assign in product(range(n), repeat=m):
-        loads = [F(0)] * n
+        loads = [0] * n
         for j, b in enumerate(assign):
             loads[b] += values[j]
         worst = max(loads)
@@ -36,7 +37,7 @@ def naive_mms(values, n: int) -> Fraction:
 def bnb_mms(items, n: int) -> int:
     """min over n-partitions of the max bundle sum of positive integers.
 
-    A depth-first branch and bound like the package's search for n >= 4,
+    A depth-first branch and bound like the package's search for n >= 5,
     written out for any n: objects in descending order, bundles tried least
     loaded first (so the first leaf is the greedy seed), equal loads tried
     once, equal objects in non-decreasing bundle order, and a stop at
@@ -70,6 +71,58 @@ def bnb_mms(items, n: int) -> int:
 
     recurse(0, 0, 0)
     return best
+
+
+def dfs_partition(items, n: int):
+    """The package's search for n >= 5, written out: (value, bundle of each
+    object) for positive integers in descending order.
+
+    The seed is longest processing time (each object to the least loaded
+    bundle, lowest index on ties).  The search stops once the incumbent
+    meets the larger of ceil(total/n) and every pigeonhole sum
+    items[kn-k] + ... + items[kn]; it tries bundles in index order, equal
+    loads once and equal objects in non-decreasing bundle order, and keeps
+    an incumbent unless a leaf is strictly better.
+    """
+    m = len(items)
+    loads = [0] * n
+    seed = []
+    for w in items:
+        b = min(range(n), key=lambda b: (loads[b], b))
+        loads[b] += w
+        seed.append(b)
+    best, best_assign = max(loads), seed
+    lower = max([-(-sum(items) // n)]
+                + [sum(items[k * n - k:k * n + 1]) for k in range((m - 1) // n + 1)])
+    if best == lower:
+        return best, best_assign
+    loads = [0] * n
+    assign = [0] * m
+
+    def recurse(i, cur_max, min_bundle):
+        nonlocal best, best_assign
+        if cur_max >= best:
+            return False
+        if i == m:
+            best, best_assign = cur_max, assign.copy()
+            return best == lower
+        w = items[i]
+        tried = set()
+        start = min_bundle if i > 0 and items[i - 1] == w else 0
+        for b in range(start, n):
+            if loads[b] in tried:
+                continue
+            tried.add(loads[b])
+            loads[b] += w
+            assign[i] = b
+            done = recurse(i + 1, max(cur_max, loads[b]), b)
+            loads[b] -= w
+            if done:
+                return True
+        return False
+
+    recurse(0, 0, 0)
+    return best, best_assign
 
 
 def naive_lex_key(values, n: int):

@@ -19,7 +19,7 @@ from fairchores.mms import (
 )
 from fairchores.shares import witness_lower, witness_upper
 
-from oracles import bnb_mms, naive_lex_key, naive_mms
+from oracles import bnb_mms, dfs_partition, naive_lex_key, naive_mms
 from test_acceptance import share_grid
 
 F = Fraction
@@ -182,6 +182,95 @@ class TestTwoAndThreeBundles:
                     assert val == F(bnb_mms(v.ints, n), v.denom), (v.ints, n)
         assert reached >= 200
         assert slowest < 0.25
+
+
+class TestFourBundles:
+    """n = 4 runs sequential partitioning: the bundle of the largest object
+    from subset-sum tables, the rest split into three the same way.  As for
+    n <= 3, every test counts the rows that the greedy seed leaves open."""
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(41)
+        makers = (
+            lambda m: random_normalized(rng, m),
+            lambda m: vec(*(rng.choice((2, 2, 3, 3, 5)) for _ in range(m))),
+            lambda m: vec(*(rng.choice((0, 0, 3, 4, 5, 6, 8)) for _ in range(m))),
+        )
+        for make in makers:
+            reached = 0
+            for _ in range(1000):
+                # up to 4**7 = 16,384 assignments, summed as integers
+                v = make(rng.randint(5, 7))
+                if searched(v, 4):
+                    want = F(naive_mms(v.ints, 4), v.denom)
+                    assert checked_value(v, 4) == want, v.values
+                    reached += 1
+                    if reached == 12:
+                        break
+            assert reached == 12
+
+    def test_matches_branch_and_bound(self):
+        rng = random.Random("mitm:4:16")
+        reached = 0
+        for _ in range(40):
+            v = gen_synthetic(16, rng)
+            assert checked_value(v, 4) == F(bnb_mms(v.ints, 4), v.denom)
+            reached += searched(v, 4)
+        assert reached >= 20
+
+    def test_seeded_grid_values(self):
+        # the branch and bound's values on random.Random("grid:4:24"); it took
+        # 98.4, 12.6 and 6.5 s on them (Python 3.11.7), too long to rerun here
+        rng = random.Random("grid:4:24")
+        for want in ("250011888/1000000000", "250007512/1000000000",
+                     "250024564/1000000000"):
+            v = gen_synthetic(24, rng)
+            assert searched(v, 4)
+            start = time.perf_counter()
+            assert checked_value(v, 4) == F(want)
+            assert time.perf_counter() - start < 0.5
+
+    def test_tie_heavy_rows(self):
+        rng = random.Random(43)
+        reached = 0
+        slowest = 0.0
+        for k in (2, 3, 5, 10, 30, 100):
+            for _ in range(40):
+                v = vec(*(rng.randint(1, k) for _ in range(rng.randint(18, 22))))
+                if not searched(v, 4):
+                    continue
+                reached += 1
+                start = time.perf_counter()
+                val = checked_value(v, 4)
+                slowest = max(slowest, time.perf_counter() - start)
+                assert val == F(bnb_mms(v.ints, 4), v.denom), v.ints
+        assert reached >= 60
+        assert slowest < 0.25
+
+
+class TestFiveOrMoreBundles:
+    """n >= 5 keeps the depth-first search: same value and same allocation as
+    `oracles.dfs_partition`, the search written out."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_same_value_and_allocation(self, n):
+        rng = random.Random(f"dfs:{n}:16")
+        reached = 0
+        for _ in range(200):
+            v = gen_synthetic(16, rng)
+            idx = sorted((j for j in range(v.m) if v.ints[j]), key=v.ints.__getitem__,
+                         reverse=True)
+            value, assign = dfs_partition([v.ints[j] for j in idx], n)
+            bundles = [set() for _ in range(n)]
+            for j, b in zip(idx, assign):
+                bundles[b].add(j)
+            bundles[0].update(j for j in range(v.m) if not v.ints[j])
+            assert minmax_partition(v, n) == (
+                F(value, v.denom), Allocation(tuple(frozenset(b) for b in bundles)))
+            reached += searched(v, n)
+            if reached == 20:
+                break
+        assert reached == 20
 
 
 class TestLowerBound:
