@@ -323,9 +323,11 @@ def read_instance_csv(path) -> Instance:
 def format_decimal(x: Fraction, places: int = 12) -> str:
     """Exact fraction rendered to `places` decimals (round half up)."""
     q = as_fraction(x)
-    s = f"{math.floor(abs(q) * 10 ** places + Fraction(1, 2)):0{places + 1}d}"
+    num, den = q.numerator, q.denominator
+    # floor(|q| * 10**places + 1/2) in integers
+    s = f"{(2 * abs(num) * 10 ** places + den) // (2 * den):0{places + 1}d}"
     body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".")
-    return ("-" if q < 0 else "") + body
+    return ("-" if num < 0 else "") + body
 
 
 def format_instance_csv(inst: Instance, comments: Sequence[str] = ()) -> str:

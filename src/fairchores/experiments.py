@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import DisutilityVector, DomainError, ValidationError, as_fraction, format_decimal
 from .mms import exact_mms
-from .shares import guarantee, hill_share, mms_lower_bound
+from .shares import _guarantee_piece, _lower_piece, _upper_piece, _validate, hill_share
 
 F = Fraction
 GRID = 10 ** 9  # common denominator for synthetic draws
@@ -113,6 +113,8 @@ def run_histogram(cfg: ExperimentConfig) -> RatioHistogram:
 def curve_samples(n: int, grid, m=None) -> list[tuple]:
     """Rows (alpha, delta_upper, delta_lower, guarantee, ratio) for plotting.
 
+    Each grid point is checked once, as hill_share checks it, and the three
+    bounds are read from their integer pieces; every field is a Fraction.
     n < 2 and m < 2 are rejected outright; grid points outside a formula's
     domain (e.g. m < ceil(1/alpha)) are skipped with a warning.
     """
@@ -120,17 +122,29 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
         raise DomainError("need an integer agent count n >= 2")
     if m is not None and m < 2:
         raise DomainError("need an object count m >= 2")
+    even = F(1, n) if isinstance(n, int) else None  # else every point is skipped
     rows = []
     for a in grid:
         alpha = as_fraction(a)
         try:
-            up = hill_share(n, alpha, m)
-            lo = mms_lower_bound(n, alpha, m)
-            g = guarantee(n, alpha)
+            p, q = _validate(n, alpha, m)
         except ValueError as exc:
             warnings.warn(f"skipping alpha={alpha}: {exc}")
             continue
-        rows.append((alpha, up, lo, g, up / lo))
+        _, un, ud, _, _ = _upper_piece(n, p, q, m)
+        _, ln, ld, _, _ = _lower_piece(n, p, q, m)
+        gn, gd = _guarantee_piece(n, p, q)
+        up = F(un, ud)
+        # reuse the Fractions already held: alpha, 1/n and, where the
+        # guarantee is the tight share itself, the upper value
+        if ln * q == ld * p:
+            lo = alpha
+        elif ln * n == ld:
+            lo = even
+        else:
+            lo = F(ln, ld)
+        g = up if gn * ud == un * gd else F(gn, gd)
+        rows.append((alpha, up, lo, g, F(un * ld, ud * ln)))
     return rows
 
 

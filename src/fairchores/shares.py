@@ -143,10 +143,16 @@ def guarantee(n: int, alpha) -> Fraction:
         return F(1)
     if p == 0:
         return F(1, n)
+    num, den = _guarantee_piece(n, p, q)
+    return F(num, den)
+
+
+def _guarantee_piece(n: int, p: int, q: int) -> tuple[int, int]:
+    """guarantee(n, p/q) as (num, den), for n >= 2 and 0 < p <= q."""
     k = _bracket_k(n, p, q)
     if _in_ni(n, k, p, q):
-        return F(k + 2, (k + 1) * n + 1)
-    return F((k + 1) * p, q)
+        return k + 2, (k + 1) * n + 1
+    return (k + 1) * p, q
 
 
 def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
@@ -162,7 +168,7 @@ def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
         assert pad >= 0, "construction larger than requested m"
         ints += [0] * pad
     vec = DisutilityVector._of_view(ints, q * b, normalized=True)
-    assert vec.alpha() == F(p, q)
+    assert max(vec.ints) * q == p * vec.denom  # vec.alpha() == p/q
     return WitnessInstance(Instance((vec,)), F(num, den), tag)
 
 

@@ -1,4 +1,6 @@
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from fairchores.experiments import (
     instance_ratio,
     run_histogram,
 )
-from fairchores.shares import ratio_ceiling
+from fairchores.shares import guarantee, hill_share, mms_lower_bound, ratio_ceiling
 
 F = Fraction
 
@@ -129,6 +131,77 @@ class TestCurves:
         assert lines[0].startswith("#")
         assert lines[1] == "alpha_fraction,alpha_decimal,delta_upper,delta_lower,guarantee,ratio"
         assert lines[2].startswith("1/3,0.333333333333,2/3,1/2,2/3,4/3")
+
+
+class TestCurveRowsFromPieces:
+    """curve_samples reads the integer pieces; its rows must be what the
+    public share functions give, point by point, skips included."""
+
+    @staticmethod
+    def grid(n, m):
+        rng = random.Random(f"curve-grid:{n}:{m}")
+        points = [F(j, 10007) for j in sorted(rng.sample(range(1, 10007), 40))]
+        for k in range(7):  # every piece end for k <= 6
+            points += [F(1, k * n + 1), F(1, k * n + n + 1),
+                       F(k + 2, n * (k + 1) ** 2 + k + 2),
+                       F(k + 2, (k + 1) * ((k + 1) * n + 1))]
+        if n == 2:
+            points += [F(3, 11), F(7, 27), F(2, 7), F(1, 5), F(1, 3)]
+        points += [F(1), F(3, 2)]
+        if m is not None:
+            points.append(F(1, 2 * m + 1))  # m < ceil(1/alpha)
+        return points
+
+    @pytest.mark.parametrize("m", [None, 2, 3, 5, 7, 30])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 60])
+    def test_rows_equal_public_functions(self, n, m):
+        expected_rows, expected_warnings = [], []
+        for alpha in self.grid(n, m):
+            try:
+                up = hill_share(n, alpha, m)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as lower_exc:
+                    mms_lower_bound(n, alpha, m)
+                assert str(lower_exc.value) == str(exc)
+                expected_warnings.append(f"skipping alpha={alpha}: {exc}")
+                continue
+            lo = mms_lower_bound(n, alpha, m)
+            expected_rows.append((alpha, up, lo, guarantee(n, alpha), up / lo))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = curve_samples(n, self.grid(n, m), m)
+        assert [str(w.message) for w in caught] == expected_warnings
+        assert rows == expected_rows
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert expected_warnings  # the grid's invalid points were skipped
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, F(3)])
+    def test_non_integer_n_skips_every_point(self, n):
+        with pytest.raises(ValueError) as exc:
+            hill_share(n, F(1, 3))
+        with pytest.warns(UserWarning) as caught:
+            assert curve_samples(n, [F(1, 3), F(1, 4)]) == []
+        assert [str(w.message) for w in caught] == [
+            f"skipping alpha=1/3: {exc.value}", f"skipping alpha=1/4: {exc.value}"]
+
+
+class TestDecimalIntegerRounding:
+    @staticmethod
+    def reference(x, places):
+        # round half up on Fractions, as the renderer is specified
+        s = f"{math.floor(abs(x) * 10 ** places + F(1, 2)):0{places + 1}d}"
+        body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".")
+        return ("-" if x < 0 else "") + body
+
+    def test_matches_fraction_formula(self):
+        rng = random.Random("format-decimal")
+        values = [F(0), F(1, 2), F(-1, 2), F(5, 10 ** 13), F(-5, 10 ** 13)]
+        values += [F(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 7))
+                   for _ in range(400)]
+        for x in values:
+            assert format_decimal(x) == self.reference(x, 12)
+            for places in (0, 1, 3, 20):
+                assert format_decimal(x, places) == self.reference(x, places)
 
 
 class TestDecimalRendering:
