@@ -9,20 +9,19 @@ of three (Dell'Amico & Martello, 1995): the largest object, the average load
 `ceil(total/n)`, and the pigeonhole count, by which some bundle holds k+1 of
 the kn+1 largest objects.  Otherwise the path depends on n:
 
-- n = 2: meet-in-the-middle subset sums (Horowitz & Sahni, 1974), the
-  largest subset sum at most total/2 from the sorted tables of two halves;
-- n = 3 and 4: sequential partitioning (after Schreiber, Korf & Moffitt,
-  2018): the bundle of the largest object is enumerated from the same
-  tables, heaviest first and within the sums that could beat the incumbent,
-  and the rest is split into n-1 bundles the same way, down to the n = 2
-  routine; it stops once the incumbent meets the bound;
+- n = 2, 3 and 4: sequential partitioning (after Schreiber, Korf &
+  Moffitt, 2018): the bundle of the largest object is enumerated from the
+  subset sums of two halves of the other objects (Horowitz & Sahni, 1974),
+  heaviest first and within the sums that could beat the incumbent, and the
+  rest is split into n-1 bundles the same way, down to two bundles, where
+  the rest is the second bundle; it stops once the incumbent meets the bound;
 - n >= 5: a depth-first branch and bound, stopping at the same bound.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 
@@ -77,32 +76,9 @@ def _subsets(items: list[int], lo: int, hi: int) -> list[int]:
     return keys
 
 
-def _two_way(items: list[int]) -> tuple[int, list[int]]:
-    """Exact min-max 2-partition by meet-in-the-middle (Horowitz-Sahni).
-
-    Returns the value and the assignment, with bundle 1 the lighter: the
-    subset with the largest sum s <= total/2, found by bisecting the right
-    half's keys for each left subset.
-    """
-    m, total = len(items), sum(items)
-    half = total // 2
-    left, right = _subsets(items, 0, m // 2), _subsets(items, m // 2, m)
-    best = 0
-    for key in left:
-        s = key >> m
-        if s > half:
-            break
-        key += right[bisect_right(right, (half - s) << m | (1 << m) - 1) - 1]
-        if key > best:
-            best = key
-            if key >> m == half:
-                break
-    return total - (best >> m), [best >> i & 1 for i in range(m)]
-
-
-def _sequential(items: list[int], n: int, best: int, assign: list[int],
-                floor: int) -> tuple[int, list[int]]:
-    """Min-max n-partition, n >= 3, from the incumbent (best, assign); items
+def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
+                floor: int) -> tuple[int, list[int] | None]:
+    """Min-max n-partition, n >= 2, from the incumbent (best, assign); items
     descending.
 
     Returns an optimum, or the first partition found at or below the larger
@@ -111,9 +87,10 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int],
     says that no partition below it exists, and its assignment is not used.
     Enumerates the bundle that holds items[0] from the half tables of
     items[1:], heaviest first, keeping its sum within
-    [total - (n-1)(best-1), best-1], and splits the rest into n-1 bundles:
-    two by `_two_way`, more by calling itself with that sum as the floor and
-    `best` as the cutoff.  The window narrows as `best` falls.
+    [total - (n-1)(best-1), best-1].  At n = 2 the rest is the other bundle;
+    above, the rest is split into n-1 bundles by calling itself with that
+    sum as the floor, `best` as the cutoff and no incumbent.  The window
+    narrows as `best` falls.
     """
     m = len(items)
     stop = max(_lower_bound(items, n), floor)
@@ -139,12 +116,12 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int],
             if total - load > (n - 1) * (best - 1):
                 break
             others = [i for i in range(m) if not key >> i & 1]
-            rest = [items[i] for i in others]
-            if n == 3:
-                value, split = _two_way(rest)
+            # the rest is empty only under a cutoff above the total
+            if n == 2 or not others:
+                value, split = total - load, [0] * len(others)
             else:
-                seed, split = _greedy_makespan(rest, n - 1)
-                value, split = _sequential(rest, n - 1, min(seed, best), split, load)
+                value, split = _sequential([items[i] for i in others], n - 1,
+                                           best, None, load)
             value = max(load, value)
             if value < best:
                 best, assign = value, [0] * m
@@ -160,17 +137,15 @@ def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
 
     The search returns once the incumbent meets `_lower_bound` (the largest
     object, the average load and the pigeonhole count).  Two to four
-    bundles are solved from subset-sum tables (`_two_way`, `_sequential`);
-    more run a depth-first branch and bound, which replaces the incumbent
-    only on a strict improvement, so a stronger bound ends the proof of
-    optimality sooner without changing the value or allocation.
+    bundles are solved by sequential partitioning on subset-sum tables
+    (`_sequential`); more run a depth-first branch and bound, which replaces
+    the incumbent only on a strict improvement, so a stronger bound ends the
+    proof of optimality sooner without changing the value or allocation.
     """
     lower = _lower_bound(items, n)
     best, best_assign = _greedy_makespan(items, n)
     if best == lower:
         return best, best_assign
-    if n == 2:
-        return _two_way(items)
     if n <= 4:
         return _sequential(items, n, best, best_assign, lower)
     m = len(items)

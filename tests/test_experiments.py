@@ -188,9 +188,9 @@ class TestCurveRowsFromPieces:
 class TestDecimalIntegerRounding:
     @staticmethod
     def reference(x, places):
-        # round half up on Fractions, as the renderer is specified
+        # round half away from zero on Fractions, as the renderer is specified
         s = f"{math.floor(abs(x) * 10 ** places + F(1, 2)):0{places + 1}d}"
-        body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".")
+        body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".") if places else s
         return ("-" if x < 0 else "") + body
 
     def test_matches_fraction_formula(self):
@@ -215,6 +215,17 @@ class TestDecimalRendering:
     def test_float_read_as_its_decimal(self):
         # 0.35 is 7/20 and rounds half up, like the Fraction
         assert format_decimal(0.35, 1) == format_decimal(F(7, 20), 1) == "0.4"
+
+    def test_no_places_keeps_the_integer_part(self):
+        assert format_decimal(F(3), 0) == "3"
+        assert format_decimal(F(1, 2), 0) == "1"
+        assert format_decimal(F(123, 7), 0) == "18"
+        assert format_decimal(F(0), 0) == "0"
+        assert format_decimal(F(-5, 2), 0) == "-3"
+
+    def test_negative_places_rejected(self):
+        with pytest.raises(ValueError, match="places"):
+            format_decimal(F(123), -1)
 
 
 def test_histogram_csv_header():

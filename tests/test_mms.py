@@ -12,6 +12,7 @@ from fairchores.mms import (
     SearchLimitError,
     _greedy_makespan,
     _lower_bound,
+    _sequential,
     exact_mms,
     fits_under,
     lex_minmax,
@@ -246,6 +247,50 @@ class TestFourBundles:
                 assert val == F(bnb_mms(v.ints, 4), v.denom), v.ints
         assert reached >= 60
         assert slowest < 0.25
+
+
+class TestSequentialCutoff:
+    """`_sequential(items, n, c, None, 0)`, the form of its own sub-calls: c
+    is a cutoff with no incumbent.  A value of at least c says that no
+    partition below c exists; a value below c is the optimum, and its
+    assignment's largest bundle carries it.  Rows are those the oracle
+    searches, zero entries kept."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cutoff_on_each_side_of_the_optimum(self, n):
+        rng = random.Random(f"cutoff:{n}")
+        makers = (
+            lambda m: [rng.randrange(1, 1000) for _ in range(m)],
+            lambda m: [rng.choice((2, 2, 3, 3, 5)) for _ in range(m)],
+            lambda m: [rng.choice((0, 0, 3, 4, 5, 6, 8)) for _ in range(m)],
+        )
+        above_bound = 0
+        for make in makers:
+            reached = 0
+            for _ in range(1000):
+                # n**m assignments: up to 6,561 at n = 3, 16,384 at n = 4
+                items = sorted(make(rng.randint(1, 8 if n < 4 else 7)), reverse=True)
+                lower = _lower_bound(items, n)
+                if _greedy_makespan(items, n)[0] == lower:
+                    continue
+                opt = naive_mms(items, n)
+                # a cutoff above the total leaves some candidate no rest
+                for c in (opt - 1, opt, opt + 1, opt + rng.randint(2, sum(items) + 2)):
+                    value, assign = _sequential(items, n, c, None, 0)
+                    if opt >= c:
+                        assert value >= c, (items, n, c)
+                        continue
+                    loads = [0] * n
+                    for w, b in zip(items, assign, strict=True):
+                        loads[b] += w
+                    assert value == max(loads) == opt, (items, n, c)
+                # a cutoff at such an optimum is proved by the search alone
+                above_bound += opt > lower
+                reached += 1
+                if reached == 20:
+                    break
+            assert reached == 20
+        assert above_bound >= 30
 
 
 class TestFiveOrMoreBundles:
