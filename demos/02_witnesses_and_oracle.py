@@ -1,7 +1,7 @@
 """Witness instances and the exact MinMaxShare oracle.
 
 Builds the worst-case vector certifying each share bound, then confirms the
-claim with the exact branch-and-bound oracle — the equality is exact rational
+claim with the exact MinMaxShare oracle — the equality is exact rational
 arithmetic, not a tolerance check.
 """
 

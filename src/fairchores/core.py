@@ -323,16 +323,17 @@ def read_instance_csv(path) -> Instance:
 def format_decimal(x: Fraction, places: int = 12) -> str:
     """Exact fraction rendered to `places` >= 0 decimals, rounded half away
     from zero (`-5/2` at `places = 0` gives `-3`); trailing zeros and a bare
-    point are dropped."""
+    point are dropped, and a value that rounds to zero has no sign."""
     if places < 0:
         raise ValueError(f"places must be >= 0, got {places}")
     q = as_fraction(x)
     num, den = q.numerator, q.denominator
     # floor(|q| * 10**places + 1/2) in integers
-    s = f"{(2 * abs(num) * 10 ** places + den) // (2 * den):0{places + 1}d}"
+    digits = (2 * abs(num) * 10 ** places + den) // (2 * den)
+    s = f"{digits:0{places + 1}d}"
     if places:
         s = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".")
-    return ("-" if num < 0 else "") + s
+    return ("-" if num < 0 and digits else "") + s
 
 
 def format_instance_csv(inst: Instance, comments: Sequence[str] = ()) -> str:

@@ -7,15 +7,16 @@ The exact min-max n-partition value is computed on the row's stored integers
 A greedy seed answers the row when it meets the root lower bound, the largest
 of three (Dell'Amico & Martello, 1995): the largest object, the average load
 `ceil(total/n)`, and the pigeonhole count, by which some bundle holds k+1 of
-the kn+1 largest objects.  Otherwise the path depends on n:
-
-- n = 2, 3 and 4: sequential partitioning (after Schreiber, Korf &
-  Moffitt, 2018): the bundle of the largest object is enumerated from the
-  subset sums of two halves of the other objects (Horowitz & Sahni, 1974),
-  heaviest first and within the sums that could beat the incumbent, and the
-  rest is split into n-1 bundles the same way, down to two bundles, where
-  the rest is the second bundle; it stops once the incumbent meets the bound;
-- n >= 5: a depth-first branch and bound, stopping at the same bound.
+the kn+1 largest objects.  Otherwise, for every n >= 2, sequential
+partitioning (after Schreiber, Korf & Moffitt, 2018) searches: the bundle of
+the largest object is enumerated from the subset sums of two halves of the
+other objects (Horowitz & Sahni, 1974), heaviest first and within the sums
+that could beat the incumbent, and the rest is split into n-1 bundles the
+same way, down to two bundles, where the rest is the second bundle.  Above
+two bundles, only bundles that no remaining object fits into are split
+further (bin completion, Korf 2003), and a rest already proved not to beat
+a cutoff is not searched again.  The search stops once the incumbent meets
+the bound.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _subsets(items: list[int], lo: int, hi: int) -> list[int]:
 
 
 def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
-                floor: int) -> tuple[int, list[int] | None]:
+                floor: int, failed: dict | None = None) -> tuple[int, list[int] | None]:
     """Min-max n-partition, n >= 2, from the incumbent (best, assign); items
     descending.
 
@@ -86,11 +87,29 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     value of `assign` as a cutoff: a returned value of at least `best` then
     says that no partition below it exists, and its assignment is not used.
     Enumerates the bundle that holds items[0] from the half tables of
-    items[1:], heaviest first, keeping its sum within
+    items[1:], heaviest key first, keeping its sum within
     [total - (n-1)(best-1), best-1].  At n = 2 the rest is the other bundle;
     above, the rest is split into n-1 bundles by calling itself with that
     sum as the floor, `best` as the cutoff and no incumbent.  The window
     narrows as `best` falls.
+
+    Dominance (bin completion, Korf 2003): at n >= 3 a bundle B of sum
+    `load` is skipped when `load + x < best`, x the smallest object outside
+    B.  In x's half, B holds the first copies of x's value (the tie rule of
+    `_subsets`), so B plus the next copy there is a bundle B' whose key in
+    that half table is larger than B's, with a sum below `best` and at least
+    B's: both loops reach B' first, inside their windows.  Moving that copy
+    into the first bundle turns a partition with first bundle B and every
+    bundle below `best` into one with first bundle B'.  Once B' is settled,
+    no partition with first bundle B' is below `best`, so none with B is.
+    At n = 2 the rest is one bundle, and the check would only cost time.
+
+    Failed rests: a rest can repeat only once two bundles are placed.  The
+    sub-calls of one top-level call share `failed`, which maps
+    `(bundles, *rest)` to the largest cutoff under which that rest had no
+    partition into that many bundles, and skip a rest whose entry is at
+    least `best`.  A call given no table starts one for its sub-calls and
+    reads none itself, since its own rests are all distinct.
     """
     m = len(items)
     stop = max(_lower_bound(items, n), floor)
@@ -100,6 +119,7 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     h = (m + 1) // 2
     left, right = _subsets(items, 1, h), _subsets(items, h, m)
     first = items[0] << m | 1
+    table = {} if failed is None else failed
     for a in reversed(left):
         start = items[0] + (a >> m)
         if start >= best:
@@ -119,9 +139,16 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
             # the rest is empty only under a cutoff above the total
             if n == 2 or not others:
                 value, split = total - load, [0] * len(others)
+            elif load + items[others[-1]] < best:
+                continue
             else:
-                value, split = _sequential([items[i] for i in others], n - 1,
-                                           best, None, load)
+                rest = [items[i] for i in others]
+                memo = None if failed is None else (n - 1, *rest)
+                if memo is not None and failed.get(memo, 0) >= best:
+                    continue
+                value, split = _sequential(rest, n - 1, best, None, load, table)
+                if memo is not None and value >= best:
+                    failed[memo] = best
             value = max(load, value)
             if value < best:
                 best, assign = value, [0] * m
@@ -135,48 +162,15 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
 def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
     """Exact min over n-partitions of the max bundle sum; items descending.
 
-    The search returns once the incumbent meets `_lower_bound` (the largest
-    object, the average load and the pigeonhole count).  Two to four
-    bundles are solved by sequential partitioning on subset-sum tables
-    (`_sequential`); more run a depth-first branch and bound, which replaces
-    the incumbent only on a strict improvement, so a stronger bound ends the
-    proof of optimality sooner without changing the value or allocation.
+    The greedy seed answers when it meets `_lower_bound` (the largest
+    object, the average load and the pigeonhole count); otherwise
+    `_sequential` searches from it down to that bound.
     """
     lower = _lower_bound(items, n)
-    best, best_assign = _greedy_makespan(items, n)
+    best, assign = _greedy_makespan(items, n)
     if best == lower:
-        return best, best_assign
-    if n <= 4:
-        return _sequential(items, n, best, best_assign, lower)
-    m = len(items)
-    loads = [0] * n
-    assign = [0] * m
-
-    def recurse(i: int, cur_max: int, min_bundle: int) -> bool:
-        nonlocal best, best_assign
-        if cur_max >= best:
-            return False
-        if i == m:
-            best, best_assign = cur_max, assign.copy()
-            return best == lower
-        w = items[i]
-        tried: set[int] = set()
-        # identical objects are forced into non-decreasing bundle order
-        start = min_bundle if i > 0 and items[i - 1] == w else 0
-        for b in range(start, n):
-            if loads[b] in tried:
-                continue
-            tried.add(loads[b])
-            loads[b] += w
-            assign[i] = b
-            done = recurse(i + 1, max(cur_max, loads[b]), b)
-            loads[b] -= w
-            if done:
-                return True
-        return False
-
-    recurse(0, 0, 0)
-    return best, best_assign
+        return best, assign
+    return _sequential(items, n, best, assign, lower)
 
 
 def minmax_partition(

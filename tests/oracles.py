@@ -37,8 +37,8 @@ def naive_mms(values, n: int) -> Fraction:
 def bnb_mms(items, n: int) -> int:
     """min over n-partitions of the max bundle sum of positive integers.
 
-    A depth-first branch and bound like the package's search for n >= 5,
-    written out for any n: objects in descending order, bundles tried least
+    A depth-first branch and bound, independent of the package's
+    sequential partitioning: objects in descending order, bundles tried least
     loaded first (so the first leaf is the greedy seed), equal loads tried
     once, equal objects in non-decreasing bundle order, and a stop at
     max(largest object, ceil(total/n)).
@@ -74,8 +74,9 @@ def bnb_mms(items, n: int) -> int:
 
 
 def dfs_partition(items, n: int):
-    """The package's search for n >= 5, written out: (value, bundle of each
-    object) for positive integers in descending order.
+    """The depth-first search the package ran for n >= 5 before sequential
+    partitioning replaced it, written out: (value, bundle of each object) for
+    positive integers in descending order.
 
     The seed is longest processing time (each object to the least loaded
     bundle, lowest index on ties).  The search stops once the incumbent

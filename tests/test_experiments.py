@@ -188,10 +188,12 @@ class TestCurveRowsFromPieces:
 class TestDecimalIntegerRounding:
     @staticmethod
     def reference(x, places):
-        # round half away from zero on Fractions, as the renderer is specified
-        s = f"{math.floor(abs(x) * 10 ** places + F(1, 2)):0{places + 1}d}"
+        # round half away from zero on Fractions, as the renderer is specified;
+        # the sign only on digits that did not round to zero
+        digits = math.floor(abs(x) * 10 ** places + F(1, 2))
+        s = f"{digits:0{places + 1}d}"
         body = f"{s[:-places]}.{s[-places:]}".rstrip("0").rstrip(".") if places else s
-        return ("-" if x < 0 else "") + body
+        return ("-" if x < 0 and digits else "") + body
 
     def test_matches_fraction_formula(self):
         rng = random.Random("format-decimal")
@@ -211,6 +213,14 @@ class TestDecimalRendering:
         assert format_decimal(F(1, 2)) == "0.5"
         assert format_decimal(F(0)) == "0"
         assert format_decimal(F(4, 3)) == "1.333333333333"
+
+    def test_negative_value_rounding_to_zero_is_unsigned(self):
+        assert format_decimal(F(-1, 4), 0) == "0"
+        assert format_decimal(F(-1, 10 ** 13)) == "0"
+        assert format_decimal(-0.0001, 2) == "0"
+        # half away from zero still keeps the sign
+        assert format_decimal(F(-1, 2), 0) == "-1"
+        assert format_decimal(F(-5, 10 ** 13)) == "-0.000000000001"
 
     def test_float_read_as_its_decimal(self):
         # 0.35 is 7/20 and rounds half up, like the Fraction

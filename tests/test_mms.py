@@ -111,8 +111,8 @@ def checked_value(v, n):
 
 
 class TestTwoAndThreeBundles:
-    """n = 2 and n = 3 run on subset-sum tables, not the branch and bound.
-    Rows that the greedy seed answers never reach them, so every test counts
+    """n = 2 and n = 3 run sequential partitioning on subset-sum tables.
+    Rows that the greedy seed answers never reach it, so every test counts
     the rows that do."""
 
     def test_matches_naive_oracle(self):
@@ -145,9 +145,10 @@ class TestTwoAndThreeBundles:
             reached += searched(v, n)
         assert reached >= 20
 
-    # Values of the branch and bound on the seeded grid vectors: three per n
-    # from random.Random(f"grid:{n}:24").  It took 0.2-0.4 s per vector at
-    # n = 2 and 5-16 s at n = 3 (Python 3.11.7), too long to rerun here.
+    # Values of the former depth-first search on the seeded grid vectors:
+    # three per n from random.Random(f"grid:{n}:24").  It took 0.2-0.4 s per
+    # vector at n = 2 and 5-16 s at n = 3 (Python 3.11.7), too long to rerun
+    # here.
     GRID_24 = {
         2: ("500000003/1000000000", "500000057/1000000000", "500000039/1000000000"),
         3: ("333333967/1000000000", "10416693/31250000", "333333713/1000000000"),
@@ -161,12 +162,12 @@ class TestTwoAndThreeBundles:
             assert searched(v, n)
             start = time.perf_counter()
             assert checked_value(v, n) == F(want)
-            # about 5-10 ms each; the branch and bound needs 0.2 s and more
+            # about 5-10 ms each; the depth-first search needed 0.2 s and more
             assert time.perf_counter() - start < 0.5
 
     def test_tie_heavy_rows(self):
         # few distinct values: many subsets share a sum; bounded so that ties
-        # do not bring back the search time of the branch and bound
+        # do not bring back the search time of a depth-first search
         rng = random.Random(31)
         reached = 0
         slowest = 0.0
@@ -187,8 +188,9 @@ class TestTwoAndThreeBundles:
 
 class TestFourBundles:
     """n = 4 runs sequential partitioning: the bundle of the largest object
-    from subset-sum tables, the rest split into three the same way.  As for
-    n <= 3, every test counts the rows that the greedy seed leaves open."""
+    from subset-sum tables, the rest split into three the same way; the
+    failed-rest table first acts here.  As for n <= 3, every test counts the
+    rows that the greedy seed leaves open."""
 
     def test_matches_naive_oracle(self):
         rng = random.Random(41)
@@ -220,8 +222,9 @@ class TestFourBundles:
         assert reached >= 20
 
     def test_seeded_grid_values(self):
-        # the branch and bound's values on random.Random("grid:4:24"); it took
-        # 98.4, 12.6 and 6.5 s on them (Python 3.11.7), too long to rerun here
+        # the former depth-first search's values on random.Random("grid:4:24");
+        # it took 98.4, 12.6 and 6.5 s on them (Python 3.11.7), too long to
+        # rerun here
         rng = random.Random("grid:4:24")
         for want in ("250011888/1000000000", "250007512/1000000000",
                      "250024564/1000000000"):
@@ -254,9 +257,10 @@ class TestSequentialCutoff:
     is a cutoff with no incumbent.  A value of at least c says that no
     partition below c exists; a value below c is the optimum, and its
     assignment's largest bundle carries it.  Rows are those the oracle
-    searches, zero entries kept."""
+    searches, zero entries kept; zeros are the smallest objects outside a
+    bundle, which the dominance rule reads."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_cutoff_on_each_side_of_the_optimum(self, n):
         rng = random.Random(f"cutoff:{n}")
         makers = (
@@ -268,12 +272,15 @@ class TestSequentialCutoff:
         for make in makers:
             reached = 0
             for _ in range(1000):
-                # n**m assignments: up to 6,561 at n = 3, 16,384 at n = 4
-                items = sorted(make(rng.randint(1, 8 if n < 4 else 7)), reverse=True)
+                # n**m assignments: up to 6,561 at n = 3, 16,384 at n = 4; the
+                # greedy seed settles every row with m <= n + 1, so n = 5 draws
+                # m from 7 to 9 and is checked against `oracles.bnb_mms`
+                lo, hi = (7, 9) if n == 5 else (1, 8 if n < 4 else 7)
+                items = sorted(make(rng.randint(lo, hi)), reverse=True)
                 lower = _lower_bound(items, n)
                 if _greedy_makespan(items, n)[0] == lower:
                     continue
-                opt = naive_mms(items, n)
+                opt = naive_mms(items, n) if n < 5 else bnb_mms(items, n)
                 # a cutoff above the total leaves some candidate no rest
                 for c in (opt - 1, opt, opt + 1, opt + rng.randint(2, sum(items) + 2)):
                     value, assign = _sequential(items, n, c, None, 0)
@@ -293,29 +300,92 @@ class TestSequentialCutoff:
         assert above_bound >= 30
 
 
+class TestFailedRests:
+    """The table that the sub-calls of one search share: an entry
+    `(bundles, *rest) -> c` says that rest has no partition into that many
+    bundles below c.  A caller that passes a table makes `_sequential` fill
+    it as a sub-call would; every entry is checked against
+    `oracles.bnb_mms`."""
+
+    def test_every_entry_is_a_failure(self):
+        rng = random.Random("failed-rests")
+        entries = Counter()
+        for _ in range(300):
+            n = rng.randint(4, 6)
+            k = rng.choice((3, 5, 10, 1000))
+            items = sorted((rng.randint(1, k) for _ in range(rng.randint(10, 14))),
+                           reverse=True)
+            best = _greedy_makespan(items, n)[0]
+            if best == _lower_bound(items, n):
+                continue
+            failed = {}
+            value, _ = _sequential(items, n, best, None, 0, failed)
+            assert min(value, best) == min(bnb_mms(items, n), best), (items, n)
+            for (bundles, *rest), c in failed.items():
+                assert bnb_mms(rest, bundles) >= c, (bundles, rest, c)
+                entries[bundles] += 1
+        # rests of two, three and four bundles, so the count in the key matters
+        assert min(entries[b] for b in (2, 3, 4)) >= 20
+
+
 class TestFiveOrMoreBundles:
-    """n >= 5 keeps the depth-first search: same value and same allocation as
-    `oracles.dfs_partition`, the search written out."""
+    """n >= 5 runs the same sequential partitioning as n <= 4, with the
+    dominance rule and the failed-rest table doing the work there.  Values
+    equal `oracles.dfs_partition`, the depth-first search that it replaced;
+    an allocation may be a different optimal one, so it is checked, not
+    pinned."""
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_same_value_and_allocation(self, n):
+    def test_same_value_valid_allocation(self, n):
         rng = random.Random(f"dfs:{n}:16")
         reached = 0
         for _ in range(200):
             v = gen_synthetic(16, rng)
-            idx = sorted((j for j in range(v.m) if v.ints[j]), key=v.ints.__getitem__,
-                         reverse=True)
-            value, assign = dfs_partition([v.ints[j] for j in idx], n)
-            bundles = [set() for _ in range(n)]
-            for j, b in zip(idx, assign):
-                bundles[b].add(j)
-            bundles[0].update(j for j in range(v.m) if not v.ints[j])
-            assert minmax_partition(v, n) == (
-                F(value, v.denom), Allocation(tuple(frozenset(b) for b in bundles)))
+            items = sorted((x for x in v.ints if x), reverse=True)
+            assert checked_value(v, n) == F(dfs_partition(items, n)[0], v.denom)
             reached += searched(v, n)
             if reached == 20:
                 break
         assert reached == 20
+
+    # Values of the depth-first search that n >= 5 ran before, on
+    # random.Random(f"grid:{n}:24"); it took 39.1, 0.0 and 4.8 s at n = 5 and
+    # 0.12, 4.5 and 0.12 s at n = 6 (Python 3.11.7).  The greedy seed settles
+    # (5, 24) #1 without a search.
+    GRID_24 = {
+        5: ("40012267/200000000", "285250763/1000000000", "200069679/1000000000"),
+        6: ("166893691/1000000000", "41697123/250000000", "83429203/500000000"),
+    }
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_grid_values(self, n):
+        rng = random.Random(f"grid:{n}:24")
+        for i, want in enumerate(self.GRID_24[n]):
+            v = gen_synthetic(24, rng)
+            assert searched(v, n) == ((n, i) != (5, 1))
+            start = time.perf_counter()
+            assert checked_value(v, n) == F(want)
+            # at most about 0.06 s each
+            assert time.perf_counter() - start < 0.5
+
+    def test_tie_heavy_rows(self):
+        # few distinct values: many bundles share a sum, and rests repeat
+        rng = random.Random(53)
+        reached = 0
+        slowest = 0.0
+        for k in (2, 3, 5, 10, 30, 100):
+            for n in (5, 6, 7, 8):
+                for _ in range(20):
+                    v = vec(*(rng.randint(1, k) for _ in range(rng.randint(12, 18))))
+                    if not searched(v, n):
+                        continue
+                    reached += 1
+                    start = time.perf_counter()
+                    val = checked_value(v, n)
+                    slowest = max(slowest, time.perf_counter() - start)
+                    assert val == F(bnb_mms(v.ints, n), v.denom), (v.ints, n)
+        assert reached >= 120
+        assert slowest < 0.25
 
 
 class TestLowerBound:
