@@ -9,7 +9,11 @@ Disutility profiles are normalised so that each agent's total is exactly 1
 (rows whose original total is 0 are kept as flagged all-zero rows).  A row
 is stored as integers over its least common denominator
 (`DisutilityVector.ints`, `.denom`); every sum, max, sort and check of a row
-runs on them, and its `Fraction` entries are built only when read.
+runs on them, and its `Fraction` entries are built only when read.  Numbers
+are read by one rule, `_ratio`: ASCII text `digits`, `digits/digits`,
+`digits.digits` or `.digits` (the forms instance files use) is read with
+int() and one gcd, and every other form through `Fraction`, so a row is
+built from its cells with no `Fraction` per cell.
 """
 
 from __future__ import annotations
@@ -47,24 +51,60 @@ def _check_cell_size(tok: str) -> None:
         raise ValueError(f"entry has more than {limit} digits")
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x in lowest terms as (numerator, denominator), exactly as `as_fraction`
+    reads it.
+
+    Fractions and ints give their own fields.  ASCII text of the forms
+    `digits`, `digits/digits`, `digits.digits` and `.digits` no longer than
+    sys.get_int_max_str_digits() is read with int() and one gcd, with no
+    Fraction built; the length test is `_check_cell_size`'s rule for such
+    text.  Any other input (floats, signs, whitespace, exponents,
+    underscores, other digits, a zero denominator, longer text) goes through
+    `Fraction`, with its errors.
+    """
+    # text first: isinstance(x, Fraction) on a str is a slow ABC check
+    if type(x) is str and x.isascii():
+        limit = sys.get_int_max_str_digits()
+        if len(x) <= limit or not limit:
+            num, slash, den = x.partition("/")
+            if not slash:
+                # digits, digits. or [digits].digits: all digits over 10**len(frac)
+                num, _, frac = x.partition(".")
+                num, den = num + frac, "1" + "0" * len(frac)
+            if num.isdigit() and den.isdigit() and (b := int(den)):
+                a = int(num)
+                g = math.gcd(a, b)
+                return a // g, b // g
+    elif isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    elif type(x) is int:
+        return x, 1
+    # any other input, and text off the integer path, as Fraction reads it
+    if isinstance(x, float):
+        # floats are converted through their shortest repr so that "0.35"
+        # round-trips to 7/20 rather than the binary expansion
+        q = Fraction(repr(x))
+    else:
+        if isinstance(x, str):
+            _check_cell_size(x)
+        try:
+            q = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    return q.numerator, q.denominator
+
+
 def as_fraction(x) -> Fraction:
     """Convert ints, Fractions, floats and strings ('7/20', '0.35') exactly.
 
     Text too long to print back (`_check_cell_size`) and a zero denominator
-    ('1/0') are ValueErrors, like any other malformed input.
+    ('1/0') are ValueErrors, like any other malformed input.  A Fraction is
+    returned as it is; anything else is read by `_ratio`.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        # floats are converted through their shortest repr so that "0.35"
-        # round-trips to 7/20 rather than the binary expansion
-        return Fraction(repr(x))
-    if isinstance(x, str):
-        _check_cell_size(x)
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {x!r}") from None
+    return Fraction(*_ratio(x))
 
 
 @dataclass(frozen=True, init=False)
@@ -73,7 +113,9 @@ class DisutilityVector:
 
     Entry j is ``ints[j] / denom``, with ``denom`` the least common
     denominator of the entries, so equal rows have equal fields.  The
-    constructor reads each entry as `as_fraction` does.
+    constructor reads each entry as `as_fraction` does, through `_ratio`:
+    Fractions, ints and plain ASCII text (`7`, `7/20`, `0.35`, `.35`) as
+    integer pairs, with no Fraction built.
     ``normalized`` is True when the entries sum to exactly 1; an all-zero
     row produced by normalising a zero-total agent carries False.
     """
@@ -85,10 +127,9 @@ class DisutilityVector:
     # tuple([...]), not tuple(generator): a tuple built from an iterator of
     # unknown length is resized, which fills CPython's per-size free lists
     def __init__(self, values: Iterable, normalized: bool = False):
-        values = [as_fraction(x) for x in values]
-        denom = math.lcm(*{x.denominator for x in values})
-        self._fill(tuple([x.numerator * (denom // x.denominator) for x in values]),
-                   denom, normalized)
+        pairs = [_ratio(x) for x in values]
+        denom = math.lcm(*{d for _, d in pairs})
+        self._fill(tuple([a * (denom // d) for a, d in pairs]), denom, normalized)
 
     @classmethod
     def _of_view(cls, ints: Sequence[int], denom: int, normalized: bool) -> DisutilityVector:

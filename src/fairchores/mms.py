@@ -26,7 +26,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Allocation, DisutilityVector, ValidationError, as_fraction
+from .core import Allocation, DisutilityVector, ValidationError, _printable, as_fraction
 
 F = Fraction
 
@@ -159,20 +159,6 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     return best, assign
 
 
-def _bnb_min_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
-    """Exact min over n-partitions of the max bundle sum; items descending.
-
-    The greedy seed answers when it meets `_lower_bound` (the largest
-    object, the average load and the pigeonhole count); otherwise
-    `_sequential` searches from it down to that bound.
-    """
-    lower = _lower_bound(items, n)
-    best, assign = _greedy_makespan(items, n)
-    if best == lower:
-        return best, assign
-    return _sequential(items, n, best, assign, lower)
-
-
 def minmax_partition(
     v: DisutilityVector,
     n: int,
@@ -183,7 +169,11 @@ def minmax_partition(
     """Exact MinMaxShare value of v for n agents, plus one optimal allocation.
 
     Zero-disutility objects never affect the optimum; they are stripped before
-    the search and appended to the first bundle afterwards.
+    the search and appended to the first bundle afterwards.  The greedy seed
+    answers when it meets `_lower_bound` (the largest object, the average
+    load and the pigeonhole count), whatever the row's size; otherwise
+    `_sequential` searches from it down to that bound, and a row over the
+    scale guard raises `SearchLimitError` with that root bracket.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -191,15 +181,20 @@ def minmax_partition(
     idx = [j for j, x in enumerate(ints) if x > 0]
     zeros = [j for j, x in enumerate(ints) if x == 0]
     idx.sort(key=ints.__getitem__, reverse=True)
-    # at most n nonzero objects need no search: the greedy seed puts one per
-    # bundle and meets the lower bound, so the guard applies only above n
-    if len(idx) > n and (len(idx) > max_objects or n > max_agents):
-        raise SearchLimitError(
-            f"{len(idx)} nonzero objects / {n} agents exceeds the scale "
-            f"guard ({max_objects} objects, {max_agents} agents); raise the "
-            "limits explicitly to search anyway"
-        )
-    opt, assign = _bnb_min_makespan([ints[j] for j in idx], n)
+    items = [ints[j] for j in idx]
+    lower = _lower_bound(items, n)
+    opt, assign = _greedy_makespan(items, n)
+    if opt != lower:
+        if len(idx) > max_objects or n > max_agents:
+            # a row built in Python may hold integers too long to print
+            bracket = (f"[{F(lower, denom)}, {F(opt, denom)}]"
+                       if _printable(max(opt, denom)) else "too long to print")
+            raise SearchLimitError(
+                f"{len(idx)} nonzero objects / {n} agents exceeds the scale "
+                f"guard ({max_objects} objects, {max_agents} agents); raise the "
+                f"limits explicitly to search anyway; root bracket {bracket}"
+            )
+        opt, assign = _sequential(items, n, opt, assign, lower)
     bundles = [set() for _ in range(n)]
     for pos, b in enumerate(assign):
         bundles[b].add(idx[pos])

@@ -3,17 +3,19 @@
 Deliberately naive: the MMS oracles enumerate all n**m assignments with no
 pruning (`bnb_mms`, a branch and bound, is the reference for sizes beyond
 that reach), the knife renormalises every agent's remaining values at every
-level, the lift scans every object for each position, and the share
+level, the lift scans every object for each position, the share
 references evaluate each piece in Fraction arithmetic, locating alpha by
-comparing it with the interval ends as Fractions.  Nothing from the
-package is reused beyond the plain data types and, in the knife, the
-guarantee cap.
+comparing it with the interval ends as Fractions, and the instance reader
+builds one Fraction per cell.  Nothing from the package is reused beyond
+the plain data types and, in the knife, the guarantee cap.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
+from fairchores.core import ValidationError
 from fairchores.shares import guarantee
 
 F = Fraction
@@ -268,3 +270,63 @@ def reference_guarantee(n: int, alpha: Fraction) -> Fraction:
     if alpha < F(k + 2, (k + 1) * ((k + 1) * n + 1)):
         return F(k + 2, (k + 1) * n + 1)
     return (k + 1) * alpha
+
+
+def reference_fraction(x) -> Fraction:
+    """A number read as `as_fraction` read it before text had an integer
+    path: floats through their shortest repr, and text measured by the digit
+    guard and then parsed by Fraction, a zero denominator a ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        return Fraction(repr(x))
+    if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        mantissa, _, exponent = x.strip().lower().partition("e")
+        exponent = exponent.lstrip("+-").replace("_", "")
+        digits = len(mantissa)
+        if exponent.isdigit():
+            digits += int(exponent) if len(exponent) <= len(str(limit)) else limit + 1
+        if limit and digits > limit:
+            raise ValueError(f"entry has more than {limit} digits")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def reference_parse(text: str) -> list:
+    """An instance file read with one `reference_fraction` per cell and each
+    row divided by its total in Fraction arithmetic: (ints, denom,
+    normalized) per row, ints over the least common denominator."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValidationError("empty instance file")
+    header = [h.strip() for h in lines[0][1].split(",")]
+    m = len(header)
+    if header != [f"object_{j}" for j in range(1, m + 1)]:
+        raise ValidationError("bad header, expected object_1,...,object_m")
+    limit = sys.get_int_max_str_digits()
+    rows = []
+    for lineno, ln in lines[1:]:
+        toks = [t.strip() for t in ln.split(",")]
+        if len(toks) != m:
+            raise ValidationError(f"line {lineno}: expected {m} entries, got {len(toks)}")
+        try:
+            values = [reference_fraction(t) for t in toks]
+            if any(x < 0 for x in values):
+                raise ValueError("negative disutility entry")
+            total = sum(values)
+            if total:
+                values = [x / total for x in values]
+            denom = math.lcm(*[x.denominator for x in values])
+            if limit and denom >= 10 ** limit:
+                raise ValueError("normalised row too long to print")
+        except ValueError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from exc
+        ints = tuple(x.numerator * (denom // x.denominator) for x in values)
+        rows.append((ints, denom, total != 0))
+    if not rows:
+        raise ValidationError("instance file has a header but no agent rows")
+    return rows

@@ -205,6 +205,14 @@ class TestInputChecks:
                              "--n", "11")
         assert code == 0 and out.splitlines()[2] == "11,4,1/2,1/2,1/2,1", err
 
+    def test_large_witness_round_trip(self, capsys, tmp_path):
+        # a 31-object witness: over the 24-object guard, but the greedy seed
+        # meets the root bound, so mms answers it
+        w = tmp_path / "w.csv"
+        assert run(capsys, "witness", "--n", "2", "--alpha", "1/30", "--out", str(w))[0] == 0
+        code, out, err = run(capsys, "mms", "--instance", str(w), "--n", "2")
+        assert (code, out, err) == (0, "116/225 (0.515555555556)\n", "")
+
     @staticmethod
     def _two_agent_low_row(path, digits):
         # 5 integers with sum s: alpha = a/s is just above 24/100, so with

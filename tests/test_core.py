@@ -12,6 +12,7 @@ from fairchores.core import (
     DisutilityVector,
     DomainError,
     ValidationError,
+    _ratio,
     as_fraction,
     ceil_inv,
     classify_guarantee,
@@ -23,6 +24,9 @@ from fairchores.core import (
 )
 from fairchores.experiments import gen_synthetic
 from fairchores.shares import natural_object_count, witness_lower, witness_upper
+
+from oracles import reference_fraction, reference_parse
+from test_acceptance import _many_zeros_rows, _powerlaw_rows, _uniform_rows
 
 F = Fraction
 
@@ -40,6 +44,111 @@ def test_as_fraction_measures_text_without_its_whitespace():
         with pytest.raises(ValueError, match="more than"):
             as_fraction(text)
     assert as_fraction(" 7/20 ") == F(7, 20)
+
+
+def _outcome(read, x):
+    """read(x), or the type and text of the ValueError it raised."""
+    try:
+        return read(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _check_token(x):
+    # _ratio, as_fraction and a one-entry row all read x as the reference does
+    expected = _outcome(reference_fraction, x)
+    if not isinstance(expected, Fraction):
+        assert (_outcome(_ratio, x) == _outcome(as_fraction, x)
+                == _outcome(DisutilityVector, [x]) == expected), x
+        return
+    a, d = expected.numerator, expected.denominator
+    assert _ratio(x) == (a, d) and type(a) is type(d) is int, x
+    got = as_fraction(x)
+    assert type(got) is Fraction and got == expected, x
+    row = _outcome(DisutilityVector, [x])
+    if a < 0:
+        assert row == (ValidationError, "negative disutility entry"), x
+    else:
+        assert (row.ints, row.denom) == ((a,), d), x
+
+
+# Tokens on each side of every integer-path test: empty sides of '/' and
+# '.', zero denominators, leading zeros, repeated separators, non-ASCII
+# digits Fraction accepts (Arabic-Indic) and rejects (superscript, which
+# str.isdigit accepts), exponents, underscores, whitespace and signs.
+EDGE_TOKENS = ("/5", "5/", "5.", ".5", ".", "", "1/0", "1/00", "0/5", "007", "1.2.3",
+               "1/2/3", "1.5/2", "1/2.5", "\u0661\u0662", "\u00b2", "1e3", "1_0", " 7/20 ",
+               "+3", "-0", "10/4", "0.000", "3/3", 0, 7, -3, True, F(3, 6), 0.35, -0.5)
+TOKEN_ALPHABET = "0123456789/.+-eE_ \u0661\u0662\u00b2"
+
+
+@pytest.mark.parametrize("tok", EDGE_TOKENS, ids=repr)
+def test_token_read_matches_reference(tok):
+    _check_token(tok)
+
+
+@given(st.one_of(
+    st.text(TOKEN_ALPHABET, max_size=10),
+    st.builds(lambda a, sep, b: a + sep + b, st.text("0123456789", max_size=5),
+              st.sampled_from(("/", ".", "")), st.text("0123456789", max_size=5))))
+def test_fuzzed_token_read_matches_reference(tok):
+    _check_token(tok)
+
+
+@pytest.mark.parametrize("limit", (None, 640, 0))
+def test_token_read_at_the_digit_limit(limit):
+    # text of exactly the limit's length is read; one character more is not
+    old = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        n = sys.get_int_max_str_digits() or 5000
+        for tok in ("7" * n, "7" * (n + 1), "." + "3" * (n - 1), "." + "3" * n,
+                    "2/" + "9" * (n - 2), "2/" + "9" * (n - 1), "1" * (n - 2) + ".5"):
+            _check_token(tok)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _csv(rows) -> str:
+    head = ",".join(f"object_{j}" for j in range(1, len(rows[0]) + 1))
+    return "\n".join([head] + [",".join(map(str, r)) for r in rows]) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _check_parse(text):
+    expected = _parse_outcome(reference_parse, text)
+    got = _parse_outcome(parse_instance_csv, text)
+    if not isinstance(got, str):
+        got = [(row.ints, row.denom, row.normalized) for row in got.profile]
+    assert got == expected, text
+
+
+MIXED_CSV = ("# decimals, p/q, exponents, signs and a zero row\n"
+             "object_1, object_2,object_3,object_4,object_5,object_6\n"
+             "0.35, 7/20 ,1e-2,+3,.5,2.50\n"
+             "0,0.0,00,0/7,-0,+0\n"
+             "1E2,+1/3,1_0,3/6,5.,\u0661\u0662\n")
+
+
+def test_parse_matches_fraction_per_cell_reference():
+    rng = random.Random(22)
+    for trial in range(60):
+        make = (_uniform_rows, _powerlaw_rows, _many_zeros_rows)[trial % 3]
+        n, m = rng.randint(1, 6), rng.randint(1, 40)
+        _check_parse(_csv(make(rng, n, m)))
+    _check_parse(MIXED_CSV)
+    head = "object_1,object_2\n1,1\n"
+    for bad in ("1,x", "-1,2", "1/0,1", "1,2,3", "1e5000,1", "+,1", "1e4299,1e-4299",
+                "1.2.3,1", "/5,1", "5/,1", "\u00b2,1"):
+        _check_parse(head + bad + "\n3/4,1\n")
+        _check_parse(head + "2,2\n" + bad + "\n")
 
 
 # Each call's text would build an integer of 10**8 digits.  They run in a

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -53,11 +54,18 @@ class TestExactMMS:
         alloc.validate(4)
 
     def test_scale_guard(self):
-        big = DisutilityVector((F(1, 30),) * 30)
-        with pytest.raises(SearchLimitError):
+        # a seeded 30-object row whose greedy seed misses the root bound 1/2;
+        # the error states that bracket
+        big = gen_synthetic(30, random.Random(2))
+        with pytest.raises(SearchLimitError, match=r"root bracket \[1/2, 500072083/1000000000\]$"):
             exact_mms(big, 2)
         # explicit limit raise is honored
         assert exact_mms(big, 2, max_objects=30) == F(1, 2)
+        # a bracket too long to print does not hide the guard's error
+        huge = DisutilityVector._of_view(big.ints, big.denom * 10 ** sys.get_int_max_str_digits(),
+                                         normalized=False)
+        with pytest.raises(SearchLimitError, match="root bracket too long to print$"):
+            exact_mms(huge, 2)
 
     def test_no_search_case_answered_before_scale_guard(self):
         # at most n nonzero objects: one object per bundle, whatever the guard
@@ -70,6 +78,21 @@ class TestExactMMS:
             assert val == 0 and alloc.n == 11
             alloc.validate(v.m)
             assert alloc.bundles[0] == frozenset(range(v.m))
+
+    def test_root_settled_rows_never_hit_the_scale_guard(self):
+        # more objects or agents than the guard, but the greedy seed meets
+        # the root bound, so no search is needed
+        assert exact_mms(DisutilityVector((F(1, 30),) * 30), 2) == F(1, 2)
+        assert exact_mms(DisutilityVector((F(1, 40),) * 40), 2) == F(1, 2)
+        assert exact_mms(DisutilityVector((F(1, 40),) * 40), 20) == F(1, 20)
+        for n, alpha, value in ((2, F(1, 30), F(116, 225)), (3, F(1, 40), F(7, 20)),
+                                (4, F(1, 50), F(343, 1300))):
+            w = witness_upper(n, alpha)
+            assert w.vector.m > 24 and w.claimed_mms == value
+            val, alloc = minmax_partition(w.vector, n)
+            assert val == value
+            alloc.validate(w.vector.m)
+            assert max(w.vector.value_of(b) for b in alloc.bundles) == value
 
     def test_matches_naive_oracle(self):
         rng = random.Random(7)
