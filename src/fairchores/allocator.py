@@ -7,7 +7,8 @@ sequence.  Every agent ends with disutility at most guarantee(n, alpha_i).
 The knife never renormalises a row: an agent's remaining mass is a suffix sum
 of her integer prefix sums.  Every phase reads a row's stored integers
 (`DisutilityVector.ints`), so no row is rescaled; the lift reads only the
-reduction, each ordered row and the permutation that sorted it.
+reduction, each ordered row and the permutation that sorted it, and walks
+each agent's cheapest-first order once, with one cursor.
 """
 
 from __future__ import annotations
@@ -146,28 +147,33 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
 
     Positions are processed from last (cheapest) to first; the holder of the
     position picks her cheapest not-yet-taken original object (tie: lowest
-    object index).  Each agent walks her cheapest-first order once, skipping
-    taken objects: her ordered row's positions, stably sorted ascending and
-    mapped through her permutation, which lists tied objects by index.  When
-    position t is processed only m - t objects are gone, so at least one
-    object no costlier than her t-th largest remains; each agent's real
-    bundle therefore costs no more than her ordered bundle.
+    object index).  Each agent's cheapest-first order is her ordered row's
+    positions, stably sorted ascending and mapped through her permutation,
+    which lists tied objects by index.  She walks it once with one cursor,
+    an iterator over it: the cursor only passes objects already taken, and
+    those stay taken.  When position t is processed only m - t objects are
+    gone, so at least one object no costlier than her t-th largest remains;
+    each agent's real bundle therefore costs no more than her ordered bundle.
     """
+    _check_bundle_count(red.ordered, ordered_alloc)
     m = red.ordered.m
     ordered_alloc.validate(m)
     owner = [0] * m
     for i, b in enumerate(ordered_alloc.bundles):
         for pos in b:
             owner[pos] = i
-    cheapest = [map(perm.__getitem__, sorted(range(m), key=row.ints.__getitem__))
-                for row, perm in zip(red.ordered.profile, red.permutations)]
-    taken: set[int] = set()
-    real: list[set[int]] = [set() for _ in range(ordered_alloc.n)]
+    cursors = [map(perm.__getitem__, sorted(range(m), key=row.ints.__getitem__))
+               for row, perm in zip(red.ordered.profile, red.permutations)]
+    taken = [False] * m
+    real: list[list[int]] = [[] for _ in range(ordered_alloc.n)]
     for pos in range(m - 1, -1, -1):
         a = owner[pos]
-        pick = next(j for j in cheapest[a] if j not in taken)
-        taken.add(pick)
-        real[a].add(pick)
+        cursor = cursors[a]
+        pick = next(cursor)
+        while taken[pick]:
+            pick = next(cursor)
+        taken[pick] = True
+        real[a].append(pick)
     return Allocation(tuple([frozenset(b) for b in real]))
 
 
@@ -181,12 +187,18 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
 
 def agent_reports(inst: Instance, alloc: Allocation) -> tuple[AgentReport, ...]:
     """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap."""
+    _check_bundle_count(inst, alloc)
     reports = []
     for i, row in enumerate(inst.profile):
         alpha, cost = row.alpha(), row.value_of(alloc.bundles[i])
         cap = guarantee(inst.n, alpha)
         reports.append(AgentReport(i, alpha, cap, cost, cost <= cap))
     return tuple(reports)
+
+
+def _check_bundle_count(inst: Instance, alloc: Allocation) -> None:
+    if alloc.n != inst.n:
+        raise ValidationError(f"allocation has {alloc.n} bundles for {inst.n} agents")
 
 
 def allocate_two_agents_tight(inst: Instance) -> Allocation:

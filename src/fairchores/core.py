@@ -245,11 +245,14 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
     """Sort a vector non-increasingly; returns (sorted vector, permutation).
 
     ``perm[p]`` is the original index of the value at sorted position p.
-    Ties keep original index order (stable).
+    Ties keep original index order (stable).  Every constructor leaves a row
+    in lowest terms, and a permutation keeps them, so the sorted row takes
+    ``v.denom`` as it is, with no gcd pass; `_fill` still validates it.
     """
     ints = v.ints
     perm = tuple(sorted(range(v.m), key=ints.__getitem__, reverse=True))
-    ordered = DisutilityVector._of_view([ints[j] for j in perm], v.denom, v.normalized)
+    ordered = DisutilityVector.__new__(DisutilityVector)
+    ordered._fill(tuple([ints[j] for j in perm]), v.denom, v.normalized)
     return ordered, perm
 
 

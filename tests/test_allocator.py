@@ -280,6 +280,58 @@ class TestReferenceKnife:
                 assert report.agents[i] == AgentReport(i, row.alpha(), cap, cost, cost <= cap)
 
 
+class TestLiftAtBenchmarkSize:
+    SHAPES = [(4, 175), (12, 90)]
+
+    @staticmethod
+    def _instances(n, m):
+        # rows mixed from the three makers, each maker alone (60 % zeros
+        # gives long runs of ties), and all-equal rows
+        rng = random.Random(f"lift:{n}:{m}")
+        makers = TestPhases.MAKERS
+        rows = [[makers[(i + a) % 3](rng, 1, m)[0] for a in range(n)] for i in range(3)]
+        rows += [make(rng, n, m) for make in makers]
+        rows.append([[1] * m for _ in range(n)])
+        return rng, [normalize(r) for r in rows]
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_matches_naive_lift_on_knife_allocations(self, n, m):
+        _, insts = self._instances(n, m)
+        for k, inst in enumerate(insts):
+            red = reduce_to_ordered(inst)
+            ordered_alloc, _ = moving_knife(red.ordered)
+            assert list(lift_allocation(red, ordered_alloc).bundles) == naive_lift(
+                [r.values for r in inst.profile], ordered_alloc.bundles), k
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    def test_matches_naive_lift_on_random_allocations(self, n, m):
+        # positions dealt at random, so an agent's picks interleave with
+        # everyone else's and her cursor skips many taken objects
+        rng, insts = self._instances(n, m)
+        for k, inst in enumerate(insts):
+            owner = [rng.randrange(n) for _ in range(m)]
+            bundles = tuple([frozenset(p for p in range(m) if owner[p] == i)
+                             for i in range(n)])
+            red = reduce_to_ordered(inst)
+            assert list(lift_allocation(red, Allocation(bundles)).bundles) == naive_lift(
+                [r.values for r in inst.profile], bundles), k
+
+
+class TestBundleCount:
+    INST = normalize([[1, 2, 3], [3, 2, 1]])
+    THREE = Allocation((frozenset({0}), frozenset({1}), frozenset({2})))
+    ONE = Allocation((frozenset({0, 1, 2}),))
+
+    @pytest.mark.parametrize("alloc", [THREE, ONE], ids=["three", "one"])
+    def test_lift_rejects_a_bundle_count_other_than_n(self, alloc):
+        with pytest.raises(ValidationError, match=f"^allocation has {alloc.n} bundles for 2 agents$"):
+            lift_allocation(reduce_to_ordered(self.INST), alloc)
+
+    @pytest.mark.parametrize("alloc", [THREE, ONE], ids=["three", "one"])
+    def test_reports_reject_a_bundle_count_other_than_n(self, alloc):
+        with pytest.raises(ValidationError, match=f"^allocation has {alloc.n} bundles for 2 agents$"):
+            agent_reports(self.INST, alloc)
+
 def region_image(n, alpha):
     return alpha / (1 - (1 - guarantee(n, alpha)) / (n - 1))
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from fairchores.allocator import reduce_to_ordered
 from fairchores.core import (
     DisutilityVector,
     DomainError,
@@ -269,6 +271,50 @@ def test_order_vector_stable():
     o2, perm2 = order_vector(tied)
     assert perm2 == (1, 0, 2)
 
+
+
+def _construction_corpus() -> list:
+    """The rows of test_every_construction_path_gives_the_canonical_row: one
+    from each constructor, witnesses at several m, zero and empty rows."""
+    rng = random.Random(14)
+    rows = list(normalize([[2, 4, 0], [0, 0, 0], [3, "1/2", 7], ["1/6", "1/10", 0]]).profile)
+    rows += [order_vector(row)[0] for row in rows]
+    rows += [gen_synthetic(m, rng) for m in (1, 2, 5, 12)]
+    for n in (2, 3, 4):
+        for j in range(1, 30):
+            for m in (None, 6, 12):
+                for make in (witness_upper, witness_lower):
+                    try:
+                        rows.append(make(n, F(j, 30), m).vector)
+                    except DomainError:
+                        pass
+    return rows + [DisutilityVector((F(0), F(0))), DisutilityVector(())]
+
+
+def test_order_vector_equals_the_gcd_reduced_row():
+    # every row is in lowest terms, so the sorted row keeps its denominator:
+    # it equals the row that one gcd pass over the permuted integers gives
+    for row in _construction_corpus():
+        ordered, perm = order_vector(row)
+        reduced = DisutilityVector._of_view([row.ints[j] for j in perm], row.denom,
+                                            row.normalized)
+        assert ((ordered.ints, ordered.denom, ordered.normalized)
+                == (reduced.ints, reduced.denom, reduced.normalized)), row
+
+
+@pytest.mark.parametrize("n, m", [(4, 175), (12, 90)])
+def test_reduction_runs_no_gcd(monkeypatch, n, m):
+    # a permutation keeps lowest terms, so sorting a row runs no gcd pass
+    rng = random.Random(f"gcd:{n}:{m}")
+    makers = (_uniform_rows, _powerlaw_rows, _many_zeros_rows)
+    insts = [normalize([makers[(i + a) % 3](rng, 1, m)[0] for a in range(n)])
+             for i in range(3)]
+    calls = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    for inst in insts:
+        reduce_to_ordered(inst)
+        assert calls == []
 
 def test_classify_theorem1_examples():
     r = classify_theorem1(2, F(3, 10))
