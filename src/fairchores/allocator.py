@@ -4,11 +4,16 @@ Pipeline: reduce the instance to an ordered one (every row non-increasing),
 run the recursive moving-knife procedure against the monotone guarantee, then
 lift the ordered allocation back to the original objects with a picking
 sequence.  Every agent ends with disutility at most guarantee(n, alpha_i).
+Every row must be normalised or all zero, as `normalize` leaves it.
 The knife never renormalises a row: an agent's remaining mass is a suffix sum
-of her integer prefix sums.  Every phase reads a row's stored integers
-(`DisutilityVector.ints`), so no row is rescaled; the lift reads only the
-reduction, each ordered row and the permutation that sorted it, and walks
-each agent's cheapest-first order once, with one cursor.
+of her integer prefix sums, and her cap and stop at each level are read on
+integers from the guarantee's piece (`shares._guarantee_piece`).  Every phase
+reads a row's stored integers (`DisutilityVector.ints`), so no row is
+rescaled; the lift reads only the reduction, each ordered row and the
+permutation that sorted it, and walks the cheapest-first order of each agent
+who holds a position once, with one cursor.  The knife's first level reads
+every agent's alpha and cap over her whole row, so `allocate` reports them
+from there.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Optional
 
 from .core import Allocation, Instance, ValidationError, order_vector
 from .mms import minmax_partition
-from .shares import guarantee, hill_share
+from .shares import _guarantee_piece, guarantee, hill_share
 
 F = Fraction
 
@@ -90,23 +95,21 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     just crossed takes her prefix minus the last object; the rest recurse.
     Rather than renormalise the rest to total 1, each agent keeps her row's
     integer prefix sums; her remaining mass is the suffix sum
-    prefix[m] - prefix[s], and every value is read over it.
+    r = prefix[m] - prefix[s], and every value is read over it.  Her alpha
+    is x/r, x her first remaining position's value, and her cap
+    guarantee(level_n, x/r) is read as (cn, cd) from the guarantee's piece
+    on the unreduced pair (x, r), which it is homogeneous in; x = 0 (on an
+    ordered row, a zero rest) gives alpha 0 and cap 1/level_n.  She stops
+    at the first knife length whose prefix sum passes
+    prefix[s] + floor(r*cn/cd).  The trace holds each alpha and cap as a
+    Fraction.
     """
     n, m = ordered.n, ordered.m
     prefix = [list(accumulate(row.ints, initial=0)) for row in ordered.profile]
 
-    def rest(i: int) -> int:
-        """Agent i's remaining mass: her row's sum over [s, m)."""
-        return prefix[i][m] - prefix[i][s]
-
-    def reach(i: int, cap: Fraction) -> int:
-        """floor(prefix[i][s] + rest(i) * cap); an integer prefix sum is at
-        most a bound exactly when it is at most the bound's floor."""
-        return prefix[i][s] + rest(i) * cap.numerator // cap.denominator
-
     def value(i: int, end: int) -> Fraction:
         """Agent i's renormalised value of positions [s, end)."""
-        r = rest(i)
+        r = prefix[i][m] - prefix[i][s]
         return F(prefix[i][end] - prefix[i][s], r) if r else F(0)
 
     bundles = [frozenset()] * n
@@ -116,10 +119,24 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     early = False
     while len(active) > 1 and not early:
         n_ = len(active)
-        alphas = {i: value(i, min(s + 1, m)) for i in active}
-        caps = {i: guarantee(n_, alphas[i]) for i in active}
-        # the first knife length at which each agent exceeds her cap
-        stops = {i: bisect_right(prefix[i], reach(i, caps[i]), s) - s for i in active}
+        first = min(s + 1, m)
+        alphas, caps, stops = {}, {}, {}
+        for i in active:
+            row = prefix[i]
+            base = row[s]
+            r = row[m] - base  # remaining mass: the row's sum over [s, m)
+            x = row[first] - base  # the first position's value, over r
+            if x:
+                # guarantee(n_, x/r), read on the unreduced pair: the
+                # piece is homogeneous in it
+                cn, cd = _guarantee_piece(n_, x, r)
+                alphas[i] = F(x, r)
+            else:  # guarantee(n_, 0) = 1/n_
+                cn, cd = 1, n_
+                alphas[i] = F(0)
+            caps[i] = F(cn, cd)
+            # the first knife length at which agent i exceeds her cap
+            stops[i] = bisect_right(row, base + r * cn // cd, s) - s
         t = max(stops.values())
         served = next(i for i in active if stops[i] == t)
         early = s + t > m  # someone stays within her cap on the whole suffix
@@ -149,11 +166,13 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     position picks her cheapest not-yet-taken original object (tie: lowest
     object index).  Each agent's cheapest-first order is her ordered row's
     positions, stably sorted ascending and mapped through her permutation,
-    which lists tied objects by index.  She walks it once with one cursor,
-    an iterator over it: the cursor only passes objects already taken, and
-    those stay taken.  When position t is processed only m - t objects are
-    gone, so at least one object no costlier than her t-th largest remains;
-    each agent's real bundle therefore costs no more than her ordered bundle.
+    which lists tied objects by index.  An agent who holds a position walks
+    it once with one cursor, an iterator over it: the cursor only passes
+    objects already taken, and those stay taken.  An agent who holds none
+    never picks, and her order is never sorted.  When position t is
+    processed only m - t objects are gone, so at least one object no
+    costlier than her t-th largest remains; each agent's real bundle
+    therefore costs no more than her ordered bundle.
     """
     _check_bundle_count(red.ordered, ordered_alloc)
     m = red.ordered.m
@@ -162,8 +181,9 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
     for i, b in enumerate(ordered_alloc.bundles):
         for pos in b:
             owner[pos] = i
-    cursors = [map(perm.__getitem__, sorted(range(m), key=row.ints.__getitem__))
-               for row, perm in zip(red.ordered.profile, red.permutations)]
+    cursors = [map(perm.__getitem__, sorted(range(m), key=row.ints.__getitem__)) if b else None
+               for row, perm, b in zip(red.ordered.profile, red.permutations,
+                                       ordered_alloc.bundles)]
     taken = [False] * m
     real: list[list[int]] = [[] for _ in range(ordered_alloc.n)]
     for pos in range(m - 1, -1, -1):
@@ -178,21 +198,44 @@ def lift_allocation(red: OrderedReduction, ordered_alloc: Allocation) -> Allocat
 
 
 def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
-    """Full pipeline; the report gives per-agent alpha, cap, cost and flag."""
+    """Full pipeline; the report gives per-agent alpha, cap, cost and flag.
+
+    Every row must be normalised or all zero (as `normalize` leaves it);
+    any other row is a ValidationError naming its agent, raised before any
+    phase runs.  The knife's first level reads each agent's alpha and cap
+    over her whole row, so the reports take them from there.
+    """
+    for i, row in enumerate(inst.profile):
+        if not row.normalized and any(row.ints):
+            raise ValidationError(f"agent {i}: row is neither normalised nor all zero")
     red = reduce_to_ordered(inst)
     ordered_alloc, trace = moving_knife(red.ordered)
     real = lift_allocation(red, ordered_alloc)
-    return real, AllocationReport(agent_reports(inst, real), trace)
+    if trace.levels:
+        first = trace.levels[0]
+        reports = _reports(inst, real, first.alphas, first.caps)
+    else:
+        reports = agent_reports(inst, real)
+    return real, AllocationReport(reports, trace)
 
 
 def agent_reports(inst: Instance, alloc: Allocation) -> tuple[AgentReport, ...]:
-    """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap."""
+    """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap.
+
+    Computed from the rows; for a normalised or all-zero row it equals what
+    `allocate` reports from the knife's first level.
+    """
     _check_bundle_count(inst, alloc)
+    alphas = [row.alpha() for row in inst.profile]
+    return _reports(inst, alloc, alphas, [guarantee(inst.n, a) for a in alphas])
+
+
+def _reports(inst: Instance, alloc: Allocation, alphas, caps) -> tuple[AgentReport, ...]:
+    """Agent i's report from ``alphas[i]`` and ``caps[i]``, a list or a dict keyed by agent."""
     reports = []
     for i, row in enumerate(inst.profile):
-        alpha, cost = row.alpha(), row.value_of(alloc.bundles[i])
-        cap = guarantee(inst.n, alpha)
-        reports.append(AgentReport(i, alpha, cap, cost, cost <= cap))
+        cost, cap = row.value_of(alloc.bundles[i]), caps[i]
+        reports.append(AgentReport(i, alphas[i], cap, cost, cost <= cap))
     return tuple(reports)
 
 

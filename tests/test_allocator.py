@@ -317,6 +317,80 @@ class TestLiftAtBenchmarkSize:
                 [r.values for r in inst.profile], bundles), k
 
 
+class TestKnifeAtBenchmarkSize:
+    """The integer knife against the renormalising one at the benchmark's
+    shapes, where power-law rows have denominators of 90 to 180 digits."""
+
+    @staticmethod
+    def _instances(n, m):
+        # rows mixed from the three makers, each maker alone, power-law
+        # rows twice more, and a mixed instance with one all-zero row
+        rng = random.Random(f"knife:{n}:{m}")
+        makers = TestPhases.MAKERS
+        rows = [[makers[(i + a) % 3](rng, 1, m)[0] for a in range(n)] for i in range(6)]
+        rows += [make(rng, n, m) for make in makers + (_powerlaw_rows, _powerlaw_rows)]
+        rows[0][rng.randrange(n)] = [0] * m
+        return [normalize(r) for r in rows]
+
+    @pytest.mark.parametrize("n, m", TestLiftAtBenchmarkSize.SHAPES)
+    def test_matches_renormalising_knife(self, n, m):
+        insts = self._instances(n, m)
+        assert max(len(str(row.denom)) for inst in insts[-3:] for row in inst.profile) >= 100
+        for k, inst in enumerate(insts):
+            ordered = reduce_to_ordered(inst).ordered
+            ref_bundles, ref_levels = naive_knife([r.values for r in ordered.profile])
+            ordered_alloc, trace = moving_knife(ordered)
+            assert list(ordered_alloc.bundles) == ref_bundles, k
+            assert [{**dataclasses.asdict(lvl),
+                     "renorm_factors": {i: 1 - c for i, c in lvl.bundle_costs.items()}}
+                    for lvl in trace.levels] == ref_levels, k
+
+
+class TestReports:
+    """`allocate` reads each agent's alpha and cap off the knife's first
+    level; `agent_reports` computes them from the rows."""
+
+    @staticmethod
+    def _same_reports(inst):
+        alloc, report = allocate(inst)
+        assert report.agents == agent_reports(inst, alloc)
+
+    def test_criterion_4_corpus(self):
+        rng = random.Random(777)
+        for trial in range(1000):
+            n = rng.randint(2, 6)
+            m = rng.randint(n, 40)
+            self._same_reports(normalize(TestPhases.MAKERS[trial % 3](rng, n, m)))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[], []],
+        [[3, 1, 2, 2]],
+        [[0, 0]],
+        [[]],
+    ], ids=["zero-row", "all-zero", "no-objects", "one-agent", "one-zero-agent",
+            "one-agent-no-objects"])
+    def test_edge_instances(self, rows):
+        self._same_reports(normalize(rows))
+
+    QUARTERS = DisutilityVector(["1/4", "1/4"])
+    HALVES = DisutilityVector(["1/2", "1/2"], True)
+
+    @pytest.mark.parametrize("rows, bad", [
+        ((DisutilityVector([2, 1]), DisutilityVector([1, 1])), 0),
+        ((QUARTERS, HALVES), 0),
+        ((HALVES, QUARTERS), 1),
+    ], ids=["raw-rows", "quarters-first", "quarters-second"])
+    def test_rejects_a_row_neither_normalised_nor_zero(self, monkeypatch, rows, bad):
+        # the knife reads a row over its own total and the reports read
+        # alpha off the knife, so such a row is refused before any phase
+        monkeypatch.setattr("fairchores.allocator.reduce_to_ordered", None)
+        with pytest.raises(ValidationError,
+                           match=f"^agent {bad}: row is neither normalised nor all zero$"):
+            allocate(Instance(rows))
+
+
 class TestBundleCount:
     INST = normalize([[1, 2, 3], [3, 2, 1]])
     THREE = Allocation((frozenset({0}), frozenset({1}), frozenset({2})))
