@@ -13,7 +13,9 @@ rescaled; the lift reads only the reduction, each ordered row and the
 permutation that sorted it, and walks the cheapest-first order of each agent
 who holds a position once, with one cursor.  The knife's first level reads
 every agent's alpha and cap over her whole row, so `allocate` reports them
-from there.
+from there.  The knife's trace keeps integers: each level's alphas, caps
+and values are built as Fractions only when first read, so `allocate`,
+which reads none of them, builds none.
 """
 
 from __future__ import annotations
@@ -46,7 +48,14 @@ class OrderedReduction:
 
 @dataclass(frozen=True)
 class KnifeLevel:
-    """One knife level; values are over each agent's remaining mass, her suffix [s, m)."""
+    """One knife level; values are over each agent's remaining mass, her suffix [s, m).
+
+    A level that `moving_knife` builds keeps only integers per active agent
+    and computes ``alphas``, ``caps``, ``prefix_values``, ``served_value``
+    and ``bundle_costs`` as Fractions on the first read of any of them;
+    fields, ``==``, ``repr``, `dataclasses.asdict` and pickling are those of
+    a level built with every field given.
+    """
 
     agents: tuple[int, ...]             # active agents, original indices
     level_n: int
@@ -59,6 +68,46 @@ class KnifeLevel:
     served_value: Fraction              # served agent's value of her bundle
     bundle_costs: dict[int, Fraction]   # unserved agents' C_i = v_i(served bundle)
     early_exhaustion: bool              # the knife reached the end within a cap
+
+    @classmethod
+    def _of_ints(cls, agents: tuple[int, ...], level_n: int, served_agent: int,
+                 prefix_len: int, removed_position: Optional[int], early_exhaustion: bool,
+                 ints: list[tuple[int, int, int, int, int, int]]) -> KnifeLevel:
+        """A level whose lazy fields are read from ``ints``: per agent of
+        ``agents``, (x, r, cn, cd, knife-set numerator, bundle numerator),
+        every value being a numerator over r."""
+        level = cls.__new__(cls)
+        level.__dict__.update(
+            agents=agents, level_n=level_n, served_agent=served_agent,
+            prefix_len=prefix_len, removed_position=removed_position,
+            early_exhaustion=early_exhaustion, _ints=ints)
+        return level
+
+    def __getattr__(self, name):
+        # reached only for a name the instance does not hold: a lazy field
+        # of a knife-built level before the first read, or a missing name
+        ints = self.__dict__.get("_ints")
+        if ints is None or name not in _LAZY_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        alphas, caps, prefix_values, costs = {}, {}, {}, {}
+        for i, (x, r, cn, cd, k, b) in zip(self.agents, ints):
+            alphas[i], caps[i], prefix_values[i] = _over(x, r), F(cn, cd), _over(k, r)
+            if i == self.served_agent:
+                served_value = _over(b, r)
+            elif not self.early_exhaustion:
+                costs[i] = _over(b, r)
+        self.__dict__.update(alphas=alphas, caps=caps, prefix_values=prefix_values,
+                             served_value=served_value, bundle_costs=costs)
+        self.__dict__.pop("_ints", None)
+        return self.__dict__[name]
+
+
+_LAZY_FIELDS = frozenset({"alphas", "caps", "prefix_values", "served_value", "bundle_costs"})
+
+
+def _over(a: int, r: int) -> Fraction:
+    """a/r, an agent's value over her remaining mass r; 0 when r = 0."""
+    return F(a, r) if r else F(0)
 
 
 @dataclass(frozen=True)
@@ -101,17 +150,13 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     on the unreduced pair (x, r), which it is homogeneous in; x = 0 (on an
     ordered row, a zero rest) gives alpha 0 and cap 1/level_n.  She stops
     at the first knife length whose prefix sum passes
-    prefix[s] + floor(r*cn/cd).  The trace holds each alpha and cap as a
-    Fraction.
+    prefix[s] + floor(r*cn/cd).  Each level of the trace keeps these
+    integers, x, r, (cn, cd) and the numerators of the knife set and of the
+    served bundle, per active agent; its alphas, caps and values become
+    Fractions on the first read (see `KnifeLevel`).
     """
     n, m = ordered.n, ordered.m
     prefix = [list(accumulate(row.ints, initial=0)) for row in ordered.profile]
-
-    def value(i: int, end: int) -> Fraction:
-        """Agent i's renormalised value of positions [s, end)."""
-        r = prefix[i][m] - prefix[i][s]
-        return F(prefix[i][end] - prefix[i][s], r) if r else F(0)
-
     bundles = [frozenset()] * n
     levels: list[KnifeLevel] = []
     active = list(range(n))
@@ -120,35 +165,27 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     while len(active) > 1 and not early:
         n_ = len(active)
         first = min(s + 1, m)
-        alphas, caps, stops = {}, {}, {}
+        reads, stops = [], []
         for i in active:
             row = prefix[i]
             base = row[s]
             r = row[m] - base  # remaining mass: the row's sum over [s, m)
             x = row[first] - base  # the first position's value, over r
-            if x:
-                # guarantee(n_, x/r), read on the unreduced pair: the
-                # piece is homogeneous in it
-                cn, cd = _guarantee_piece(n_, x, r)
-                alphas[i] = F(x, r)
-            else:  # guarantee(n_, 0) = 1/n_
-                cn, cd = 1, n_
-                alphas[i] = F(0)
-            caps[i] = F(cn, cd)
+            # guarantee(n_, x/r), read on the unreduced pair: the piece is
+            # homogeneous in it; guarantee(n_, 0) = 1/n_
+            cn, cd = _guarantee_piece(n_, x, r) if x else (1, n_)
+            reads.append((x, r, cn, cd))
             # the first knife length at which agent i exceeds her cap
-            stops[i] = bisect_right(row, base + r * cn // cd, s) - s
-        t = max(stops.values())
-        served = next(i for i in active if stops[i] == t)
+            stops.append(bisect_right(row, base + r * cn // cd, s) - s)
+        t = max(stops)
+        served = active[stops.index(t)]
         early = s + t > m  # someone stays within her cap on the whole suffix
         end = m if early else s + t - 1
         t = min(t, m - s)
-        costs = {} if early else {i: value(i, end) for i in active if i != served}
-        levels.append(KnifeLevel(
-            agents=tuple(active), level_n=n_, alphas=alphas, caps=caps,
-            prefix_values={i: value(i, s + t) for i in active}, served_agent=served,
-            prefix_len=t, removed_position=None if early else end,
-            served_value=value(served, end), bundle_costs=costs, early_exhaustion=early,
-        ))
+        ints = [(*read, prefix[i][s + t] - prefix[i][s], prefix[i][end] - prefix[i][s])
+                for i, read in zip(active, reads)]
+        levels.append(KnifeLevel._of_ints(tuple(active), n_, served, t,
+                                          None if early else end, early, ints))
         bundles[served] = frozenset(range(s, end))
         active.remove(served)
         s = end
@@ -205,15 +242,16 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
     phase runs.  The knife's first level reads each agent's alpha and cap
     over her whole row, so the reports take them from there.
     """
-    for i, row in enumerate(inst.profile):
-        if not row.normalized and any(row.ints):
-            raise ValidationError(f"agent {i}: row is neither normalised nor all zero")
+    _check_rows(inst)
     red = reduce_to_ordered(inst)
     ordered_alloc, trace = moving_knife(red.ordered)
     real = lift_allocation(red, ordered_alloc)
     if trace.levels:
-        first = trace.levels[0]
-        reports = _reports(inst, real, first.alphas, first.caps)
+        # level 0 is unread, so it still holds its integers; its agents
+        # are 0..n-1, in turn
+        ints = trace.levels[0]._ints
+        reports = _reports(inst, real, [_over(x, r) for x, r, *_ in ints],
+                           [F(cn, cd) for _, _, cn, cd, *_ in ints])
     else:
         reports = agent_reports(inst, real)
     return real, AllocationReport(reports, trace)
@@ -222,21 +260,29 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
 def agent_reports(inst: Instance, alloc: Allocation) -> tuple[AgentReport, ...]:
     """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap.
 
-    Computed from the rows; for a normalised or all-zero row it equals what
-    `allocate` reports from the knife's first level.
+    Computed from the rows, which must be normalised or all zero, as for
+    `allocate`; it equals what `allocate` reports from the knife's first
+    level.
     """
+    _check_rows(inst)
     _check_bundle_count(inst, alloc)
     alphas = [row.alpha() for row in inst.profile]
     return _reports(inst, alloc, alphas, [guarantee(inst.n, a) for a in alphas])
 
 
 def _reports(inst: Instance, alloc: Allocation, alphas, caps) -> tuple[AgentReport, ...]:
-    """Agent i's report from ``alphas[i]`` and ``caps[i]``, a list or a dict keyed by agent."""
+    """Agent i's report from ``alphas[i]`` and ``caps[i]``."""
     reports = []
     for i, row in enumerate(inst.profile):
         cost, cap = row.value_of(alloc.bundles[i]), caps[i]
         reports.append(AgentReport(i, alphas[i], cap, cost, cost <= cap))
     return tuple(reports)
+
+
+def _check_rows(inst: Instance) -> None:
+    for i, row in enumerate(inst.profile):
+        if not row.normalized and any(row.ints):
+            raise ValidationError(f"agent {i}: row is neither normalised nor all zero")
 
 
 def _check_bundle_count(inst: Instance, alloc: Allocation) -> None:
@@ -249,9 +295,11 @@ def allocate_two_agents_tight(inst: Instance) -> Allocation:
 
     The agent with the smaller worst-case share bound computes her exact
     min-max 2-partition; the other takes whichever bundle she likes better.
+    Every row must be normalised or all zero, as for `allocate`.
     """
     if inst.n != 2:
         raise ValidationError("procedure is specific to n = 2")
+    _check_rows(inst)
     alphas = [row.alpha() for row in inst.profile]
 
     def bound(i: int) -> Fraction:

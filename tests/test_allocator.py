@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from fairchores.allocator import (
     AgentReport,
     AllocationReport,
+    KnifeLevel,
     agent_reports,
     allocate,
     allocate_two_agents_tight,
@@ -389,6 +392,140 @@ class TestReports:
         with pytest.raises(ValidationError,
                            match=f"^agent {bad}: row is neither normalised nor all zero$"):
             allocate(Instance(rows))
+
+
+LAZY = ("alphas", "caps", "prefix_values", "served_value", "bundle_costs")
+
+
+class TestLazyTrace:
+    """A knife-built level computes its five Fraction fields on first read;
+    it must compare, print, copy and pickle as the level built eagerly."""
+
+    EARLY = Instance((DisutilityVector((F(1, 2), F(1, 4), F(1, 4)), True),
+                      DisutilityVector((F(0), F(0), F(0)), False)))
+
+    @classmethod
+    def _ordered(cls):
+        # the benchmark's mixed instances (one with an all-zero row),
+        # power-law rows, and an instance whose knife exhausts early
+        insts = TestKnifeAtBenchmarkSize._instances(12, 90)
+        insts = [insts[0], insts[1], insts[-1], cls.EARLY]
+        return [reduce_to_ordered(inst).ordered for inst in insts]
+
+    @staticmethod
+    def _levels(ordered):
+        return moving_knife(ordered)[1].levels
+
+    def test_fields_unchanged(self):
+        assert [(f.name, f.type) for f in dataclasses.fields(KnifeLevel)] == [
+            ("agents", "tuple[int, ...]"), ("level_n", "int"),
+            ("alphas", "dict[int, Fraction]"), ("caps", "dict[int, Fraction]"),
+            ("prefix_values", "dict[int, Fraction]"), ("served_agent", "int"),
+            ("prefix_len", "int"), ("removed_position", "Optional[int]"),
+            ("served_value", "Fraction"), ("bundle_costs", "dict[int, Fraction]"),
+            ("early_exhaustion", "bool"),
+        ]
+
+    def test_corpus_has_every_kind_of_level(self):
+        levels = [lvl for ordered in self._ordered() for lvl in self._levels(ordered)]
+        assert any(lvl.early_exhaustion for lvl in levels)
+        assert any(not lvl.early_exhaustion for lvl in levels)
+        assert any(a == 0 for lvl in levels for a in lvl.alphas.values())
+
+    @pytest.mark.parametrize("order", [LAZY[k:] + LAZY[:k] for k in range(5)] + [LAZY[::-1]],
+                             ids=[f + "-first" for f in LAZY] + ["reversed"])
+    def test_any_read_order_gives_the_same_values(self, order):
+        for k, ordered in enumerate(self._ordered()):
+            ref = [tuple(getattr(lvl, f) for f in LAZY) for lvl in self._levels(ordered)]
+            got = []
+            for lvl in self._levels(ordered):
+                read = {f: getattr(lvl, f) for f in order}
+                got.append(tuple(read[f] for f in LAZY))
+            assert got == ref, k
+
+    def test_equals_the_eager_level(self):
+        for k, ordered in enumerate(self._ordered()):
+            eager = [KnifeLevel(**dataclasses.asdict(lvl)) for lvl in self._levels(ordered)]
+            for lvl, ref in zip(self._levels(ordered), eager):
+                assert repr(lvl) == repr(ref), k
+                assert lvl == ref and ref == lvl, k
+                assert dataclasses.asdict(lvl) == dataclasses.asdict(ref), k
+                assert lvl == KnifeLevel(**dataclasses.asdict(lvl)), k
+
+    @pytest.mark.parametrize("copier", [lambda lvl: pickle.loads(pickle.dumps(lvl)),
+                                        copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_before_and_after_first_read(self, copier):
+        for k, ordered in enumerate(self._ordered()):
+            eager = [KnifeLevel(**dataclasses.asdict(lvl)) for lvl in self._levels(ordered)]
+            unread = [copier(lvl) for lvl in self._levels(ordered)]
+            assert unread == eager, k
+            assert [repr(lvl) for lvl in unread] == [repr(lvl) for lvl in eager], k
+            levels = self._levels(ordered)
+            for lvl in levels:
+                lvl.caps
+            assert [copier(lvl) for lvl in levels] == eager, k
+            assert [copier(lvl) for lvl in eager] == eager, k
+
+    def test_other_names_raise_attribute_error(self):
+        lvl = self._levels(self._ordered()[0])[0]
+        with pytest.raises(AttributeError, match="'KnifeLevel' object has no attribute 'cap'"):
+            lvl.cap
+        assert not hasattr(lvl, "__setstate__")
+        lvl.alphas
+        with pytest.raises(AttributeError):
+            lvl.cap
+
+    def test_frozen(self):
+        lvl = self._levels(self._ordered()[0])[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lvl.caps = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lvl.served_agent = 0
+
+    def test_allocate_builds_no_trace_fraction(self, monkeypatch):
+        # allocate reads only level 0's integers, for the reports: one alpha
+        # and one cap per agent
+        insts = self._ordered()
+        calls, outs = [], []
+        monkeypatch.setattr("fairchores.allocator.F",
+                            lambda *args: calls.append(args) or Fraction(*args))
+        for inst in insts:
+            calls.clear()
+            outs.append(allocate(inst))
+            assert outs[-1][1].trace.levels and len(calls) == 2 * inst.n
+        monkeypatch.undo()
+        for inst, (alloc, report) in zip(insts, outs):
+            assert report.agents == agent_reports(inst, alloc)
+
+
+class TestRowCheck:
+    """`agent_reports` and `allocate_two_agents_tight` refuse a row that is
+    neither normalised nor all zero, as `allocate` does, naming its agent."""
+
+    RAW, QUARTERS, HALVES = DisutilityVector([2, 1]), TestReports.QUARTERS, TestReports.HALVES
+    ROWS = [
+        ((RAW, DisutilityVector([1, 1])), 0),
+        ((RAW, HALVES), 0),
+        ((HALVES, RAW), 1),
+        ((QUARTERS, HALVES), 0),
+        ((HALVES, QUARTERS), 1),
+    ]
+    IDS = ["raw-rows", "raw-first", "raw-second", "quarters-first", "quarters-second"]
+
+    @pytest.mark.parametrize("rows, bad", ROWS, ids=IDS)
+    def test_agent_reports(self, rows, bad):
+        alloc = Allocation((frozenset({0}), frozenset({1})))
+        with pytest.raises(ValidationError,
+                           match=f"^agent {bad}: row is neither normalised nor all zero$"):
+            agent_reports(Instance(rows), alloc)
+
+    @pytest.mark.parametrize("rows, bad", ROWS, ids=IDS)
+    def test_two_agents_tight(self, monkeypatch, rows, bad):
+        monkeypatch.setattr("fairchores.allocator.minmax_partition", None)
+        with pytest.raises(ValidationError,
+                           match=f"^agent {bad}: row is neither normalised nor all zero$"):
+            allocate_two_agents_tight(Instance(rows))
 
 
 class TestBundleCount:
