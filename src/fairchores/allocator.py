@@ -11,11 +11,12 @@ integers from the guarantee's piece (`shares._guarantee_piece`).  Every phase
 reads a row's stored integers (`DisutilityVector.ints`), so no row is
 rescaled; the lift reads only the reduction, each ordered row and the
 permutation that sorted it, and walks the cheapest-first order of each agent
-who holds a position once, with one cursor.  The knife's first level reads
-every agent's alpha and cap over her whole row, so `allocate` reports them
-from there.  The knife's trace keeps integers: each level's alphas, caps
-and values are built as Fractions only when first read, so `allocate`,
-which reads none of them, builds none.
+who holds a position once, with one cursor.  The reports read each agent's
+alpha and cap from her row's largest integer and denominator, the cap from
+the same piece, so `allocate` reads nothing of the knife's trace.  The
+trace keeps integers: each level's alphas, caps and values are built as
+Fractions only when first read, so `allocate`, which reads none of them,
+builds none.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 
 from .core import Allocation, Instance, ValidationError, order_vector
 from .mms import minmax_partition
-from .shares import _guarantee_piece, guarantee, hill_share
+from .shares import _guarantee_piece, hill_share
 
 F = Fraction
 
@@ -148,8 +149,8 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     is x/r, x her first remaining position's value, and her cap
     guarantee(level_n, x/r) is read as (cn, cd) from the guarantee's piece
     on the unreduced pair (x, r), which it is homogeneous in; x = 0 (on an
-    ordered row, a zero rest) gives alpha 0 and cap 1/level_n.  She stops
-    at the first knife length whose prefix sum passes
+    ordered row, a zero rest) gives alpha 0 and, from the piece, cap
+    1/level_n.  She stops at the first knife length whose prefix sum passes
     prefix[s] + floor(r*cn/cd).  Each level of the trace keeps these
     integers, x, r, (cn, cd) and the numerators of the knife set and of the
     served bundle, per active agent; its alphas, caps and values become
@@ -172,8 +173,8 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
             r = row[m] - base  # remaining mass: the row's sum over [s, m)
             x = row[first] - base  # the first position's value, over r
             # guarantee(n_, x/r), read on the unreduced pair: the piece is
-            # homogeneous in it; guarantee(n_, 0) = 1/n_
-            cn, cd = _guarantee_piece(n_, x, r) if x else (1, n_)
+            # homogeneous in it
+            cn, cd = _guarantee_piece(n_, x, r)
             reads.append((x, r, cn, cd))
             # the first knife length at which agent i exceeds her cap
             stops.append(bisect_right(row, base + r * cn // cd, s) - s)
@@ -239,43 +240,38 @@ def allocate(inst: Instance) -> tuple[Allocation, AllocationReport]:
 
     Every row must be normalised or all zero (as `normalize` leaves it);
     any other row is a ValidationError naming its agent, raised before any
-    phase runs.  The knife's first level reads each agent's alpha and cap
-    over her whole row, so the reports take them from there.
+    phase runs.  Each agent's largest entry is her ordered row's first, so
+    the reports read it there, as `agent_reports` does on her row.
     """
     _check_rows(inst)
     red = reduce_to_ordered(inst)
     ordered_alloc, trace = moving_knife(red.ordered)
     real = lift_allocation(red, ordered_alloc)
-    if trace.levels:
-        # level 0 is unread, so it still holds its integers; its agents
-        # are 0..n-1, in turn
-        ints = trace.levels[0]._ints
-        reports = _reports(inst, real, [_over(x, r) for x, r, *_ in ints],
-                           [F(cn, cd) for _, _, cn, cd, *_ in ints])
-    else:
-        reports = agent_reports(inst, real)
-    return real, AllocationReport(reports, trace)
+    largest = [row.ints[0] if row.ints else 0 for row in red.ordered.profile]
+    return real, AllocationReport(_reports(inst, real, largest), trace)
 
 
 def agent_reports(inst: Instance, alloc: Allocation) -> tuple[AgentReport, ...]:
     """Each agent's alpha, cap guarantee(n, alpha), bundle cost and cost <= cap.
 
-    Computed from the rows, which must be normalised or all zero, as for
-    `allocate`; it equals what `allocate` reports from the knife's first
-    level.
+    The rows must be normalised or all zero, as for `allocate`, and the
+    allocation a partition of the objects into n bundles; on `allocate`'s
+    allocation it gives `allocate`'s reports.
     """
     _check_rows(inst)
     _check_bundle_count(inst, alloc)
-    alphas = [row.alpha() for row in inst.profile]
-    return _reports(inst, alloc, alphas, [guarantee(inst.n, a) for a in alphas])
+    alloc.validate(inst.m)
+    return _reports(inst, alloc, [max(row.ints, default=0) for row in inst.profile])
 
 
-def _reports(inst: Instance, alloc: Allocation, alphas, caps) -> tuple[AgentReport, ...]:
-    """Agent i's report from ``alphas[i]`` and ``caps[i]``."""
+def _reports(inst: Instance, alloc: Allocation, largest) -> tuple[AgentReport, ...]:
+    """Agent i's report, ``largest[i]`` being her row's largest integer: her
+    alpha is it over the row's denominator and her cap guarantee(n, alpha),
+    both read on these integers."""
     reports = []
-    for i, row in enumerate(inst.profile):
-        cost, cap = row.value_of(alloc.bundles[i]), caps[i]
-        reports.append(AgentReport(i, alphas[i], cap, cost, cost <= cap))
+    for i, (row, x) in enumerate(zip(inst.profile, largest)):
+        cost, cap = row.value_of(alloc.bundles[i]), F(*_guarantee_piece(inst.n, x, row.denom))
+        reports.append(AgentReport(i, F(x, row.denom), cap, cost, cost <= cap))
     return tuple(reports)
 
 

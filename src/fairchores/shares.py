@@ -130,8 +130,8 @@ def guarantee(n: int, alpha) -> Fraction:
     """Monotone cover of the unrestricted tight share: the best per-agent cap.
 
     Defined for integer n >= 1 and alpha in [0, 1]; guarantee(n, 0) = 1/n is
-    the common limit of both branch formulas (needed when recursion
-    renormalises an agent to an all-zero row), and guarantee(n, 1) = 1.
+    the common limit of both branch formulas (an all-zero row's cap), and
+    guarantee(1, alpha) = guarantee(n, 1) = 1.
     """
     alpha = as_fraction(alpha)
     if not isinstance(n, int) or n < 1:
@@ -139,16 +139,17 @@ def guarantee(n: int, alpha) -> Fraction:
     p, q = alpha.numerator, alpha.denominator
     if not 0 <= p <= q:
         raise DomainError(f"alpha={alpha} outside [0, 1]")
-    if n == 1:
-        return F(1)
-    if p == 0:
-        return F(1, n)
-    num, den = _guarantee_piece(n, p, q)
-    return F(num, den)
+    return F(*_guarantee_piece(n, p, q))
 
 
 def _guarantee_piece(n: int, p: int, q: int) -> tuple[int, int]:
-    """guarantee(n, p/q) as (num, den), for n >= 2 and 0 < p <= q."""
+    """guarantee(n, p/q) as (num, den), for n >= 1 and 0 <= p <= q, p/q in
+    any terms: the pieces are homogeneous in (p, q), so (c*p, c*q) gives a
+    pair of the same ratio.  p = 0 gives (1, n) whatever q is, 0 included."""
+    if n == 1:
+        return 1, 1
+    if p == 0:
+        return 1, n
     k = _bracket_k(n, p, q)
     if _in_ni(n, k, p, q):
         return k + 2, (k + 1) * n + 1

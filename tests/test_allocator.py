@@ -29,7 +29,7 @@ from fairchores.core import (
 from fairchores.mms import exact_mms
 from fairchores.shares import guarantee, hill_share
 
-from oracles import naive_knife, naive_lift
+from oracles import naive_knife, naive_lift, reference_guarantee
 from test_acceptance import _many_zeros_rows, _powerlaw_rows, _uniform_rows
 
 F = Fraction
@@ -350,8 +350,8 @@ class TestKnifeAtBenchmarkSize:
 
 
 class TestReports:
-    """`allocate` reads each agent's alpha and cap off the knife's first
-    level; `agent_reports` computes them from the rows."""
+    """`allocate` finds each agent's largest integer first in her ordered
+    row; `agent_reports` scans her row for it."""
 
     @staticmethod
     def _same_reports(inst):
@@ -387,11 +387,50 @@ class TestReports:
     ], ids=["raw-rows", "quarters-first", "quarters-second"])
     def test_rejects_a_row_neither_normalised_nor_zero(self, monkeypatch, rows, bad):
         # the knife reads a row over its own total and the reports read
-        # alpha off the knife, so such a row is refused before any phase
+        # alpha over the row's denominator, so such a row is refused before
+        # any phase
         monkeypatch.setattr("fairchores.allocator.reduce_to_ordered", None)
         with pytest.raises(ValidationError,
                            match=f"^agent {bad}: row is neither normalised nor all zero$"):
             allocate(Instance(rows))
+
+
+class TestReportValues:
+    """Every field of `allocate`'s and `agent_reports`' reports against values
+    computed from the row's Fractions and the reference guarantee."""
+
+    @staticmethod
+    def _check(inst):
+        alloc, report = allocate(inst)
+        n = inst.n
+        for reports in (report.agents, agent_reports(inst, alloc)):
+            assert len(reports) == n
+            for i, (row, rep) in enumerate(zip(inst.profile, reports)):
+                values = row.values
+                alpha = max(values, default=F(0))
+                cap = F(1) if n == 1 else F(1, n) if alpha == 0 else reference_guarantee(n, alpha)
+                cost = sum((values[j] for j in alloc.bundles[i]), F(0))
+                assert rep == AgentReport(i, alpha, cap, cost, cost <= cap), i
+                assert rep.satisfied
+
+    def test_criterion_4_corpus(self):
+        rng = random.Random(777)
+        for trial in range(1000):
+            n = rng.randint(2, 6)
+            m = rng.randint(n, 40)
+            self._check(normalize(TestPhases.MAKERS[trial % 3](rng, n, m)))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[], []],
+        [[3, 1, 2, 2]],
+        [[0, 0]],
+        [[]],
+    ], ids=["zero-row", "all-zero", "no-objects", "one-agent", "one-zero-agent",
+            "one-agent-no-objects"])
+    def test_edge_instances(self, rows):
+        self._check(normalize(rows))
 
 
 LAZY = ("alphas", "caps", "prefix_values", "served_value", "bundle_costs")
@@ -484,8 +523,8 @@ class TestLazyTrace:
             lvl.served_agent = 0
 
     def test_allocate_builds_no_trace_fraction(self, monkeypatch):
-        # allocate reads only level 0's integers, for the reports: one alpha
-        # and one cap per agent
+        # allocate reads no level: its reports build one alpha and one cap
+        # per agent
         insts = self._ordered()
         calls, outs = [], []
         monkeypatch.setattr("fairchores.allocator.F",
@@ -542,6 +581,18 @@ class TestBundleCount:
     def test_reports_reject_a_bundle_count_other_than_n(self, alloc):
         with pytest.raises(ValidationError, match=f"^allocation has {alloc.n} bundles for 2 agents$"):
             agent_reports(self.INST, alloc)
+
+    @pytest.mark.parametrize("alloc, message", [
+        (Allocation((frozenset({-1}), frozenset({0}))), "bundles do not cover all objects"),
+        (Allocation((frozenset(), frozenset())), "bundles do not cover all objects"),
+        (Allocation((frozenset({0}), frozenset({1, 2}))), "bundles do not cover all objects"),
+        (Allocation((frozenset({0, 1}), frozenset({1}))), "bundles are not disjoint"),
+    ], ids=["negative-id", "empty", "id-past-m", "overlap"])
+    def test_reports_reject_an_allocation_that_is_no_partition(self, alloc, message):
+        # id -1 would read the last object's value, an empty allocation
+        # would report every agent satisfied, and id 2 would index past m
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            agent_reports(normalize([[1, 3], [1, 1]]), alloc)
 
 def region_image(n, alpha):
     return alpha / (1 - (1 - guarantee(n, alpha)) / (n - 1))

@@ -6,6 +6,7 @@ import pytest
 from fairchores.core import DomainError, ceil_inv
 from fairchores.mms import exact_mms
 from fairchores.shares import (
+    _guarantee_piece,
     guarantee,
     high_ratio_ranges,
     hill_share,
@@ -116,6 +117,19 @@ class TestGuarantee:
                 a = F(j, 300)
                 k = classify_guarantee(n, a).k
                 assert guarantee(n, a) >= (k + 1) * a
+
+    def test_piece_is_homogeneous(self):
+        # the knife reads the piece on (x, r), an agent's first remaining
+        # value and remaining mass, never reduced; the reports read it on
+        # (x, denom); both rely on any terms giving the same value
+        fracs = {F(p, q) for q in range(1, 41) for p in range(q + 1)}
+        for n in range(1, 9):
+            for a in fracs:
+                for c in (1, 3, 10 ** 30):
+                    piece = _guarantee_piece(n, c * a.numerator, c * a.denominator)
+                    assert F(*piece) == guarantee(n, a), (n, a, c)
+            # a zero rest: the knife reads x = r = 0
+            assert _guarantee_piece(n, 0, 0) == ((1, 1) if n == 1 else (1, n))
 
 
 class TestWitnesses:
