@@ -29,6 +29,7 @@ from itertools import accumulate
 from .core import Allocation, DisutilityVector, ValidationError, _printable, as_fraction
 
 F = Fraction
+MAX_LEX_OBJECTS = 12  # lex_minmax enumerates every set partition of its objects
 
 
 class SearchLimitError(RuntimeError):
@@ -228,7 +229,7 @@ def _growth_strings(m: int, n: int):
     yield from rec(0, 0)
 
 
-def lex_minmax(v: DisutilityVector, n: int, *, max_objects: int = 12) -> Allocation:
+def lex_minmax(v: DisutilityVector, n: int) -> Allocation:
     """Allocation whose non-increasing bundle-load vector is lexicographically
     minimal; ties among identical sorted vectors go to the smallest canonical
     partition encoding.
@@ -236,8 +237,8 @@ def lex_minmax(v: DisutilityVector, n: int, *, max_objects: int = 12) -> Allocat
     if n < 1:
         raise ValidationError("need n >= 1")
     m = v.m
-    if m > max_objects:
-        raise SearchLimitError(f"{m} objects exceeds the enumeration guard {max_objects}")
+    if m > MAX_LEX_OBJECTS:
+        raise SearchLimitError(f"{m} objects exceeds the enumeration guard {MAX_LEX_OBJECTS}")
     ints = v.ints
 
     def sorted_loads(rgs: tuple[int, ...]) -> list[int]:

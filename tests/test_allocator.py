@@ -27,7 +27,7 @@ from fairchores.core import (
     normalize,
 )
 from fairchores.mms import exact_mms
-from fairchores.shares import guarantee, hill_share
+from fairchores.shares import guarantee, hill_share, witness_upper
 
 from oracles import naive_knife, naive_lift, reference_guarantee
 from test_acceptance import _many_zeros_rows, _powerlaw_rows, _uniform_rows
@@ -593,6 +593,26 @@ class TestBundleCount:
         # would report every agent satisfied, and id 2 would index past m
         with pytest.raises(ValidationError, match=f"^{message}"):
             agent_reports(normalize([[1, 3], [1, 1]]), alloc)
+
+
+class TestGuaranteeIsTight:
+    def test_identical_witness_rows_end_at_a_cap(self):
+        """Where guarantee(n, alpha) equals hill_share(n, alpha), n identical
+        witness_upper(n, alpha) rows have MinMaxShare equal to the cap, so
+        every allocation gives some agent at least her cap: allocate leaves
+        one exactly at it, and the guarantee cannot be lowered there."""
+        points = 0
+        for n in range(2, 5):
+            for q in range(2, 30):
+                for p in range(1, q):
+                    alpha = F(p, q)
+                    if math.gcd(p, q) > 1 or guarantee(n, alpha) != hill_share(n, alpha):
+                        continue
+                    _, report = allocate(Instance((witness_upper(n, alpha).vector,) * n))
+                    assert any(a.cost == a.cap for a in report.agents), (n, alpha)
+                    points += 1
+        assert points == 454
+
 
 def region_image(n, alpha):
     return alpha / (1 - (1 - guarantee(n, alpha)) / (n - 1))

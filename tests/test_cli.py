@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
@@ -361,6 +362,31 @@ class TestInputChecks:
         code, _, err = run(capsys, "experiment", "synthetic", "--n", "3",
                            "--m", "10000", "--count", "0", "--seed", "1")
         assert code == 0, err
+
+
+class TestAtScale:
+    def test_curve_at_points_cap(self, capsys, tmp_path):
+        curve = tmp_path / "curve.csv"
+        code, out, err = run(capsys, "experiment", "curve", "--n", "60", "--points", "100000",
+                             "--out", str(curve))
+        assert (code, out, err) == (0, "", "")
+        assert curve.read_bytes().count(b"\n") == 100002
+
+    def test_five_bundle_search(self, capsys):
+        # twenty seeded (5, 24) rows, nineteen of them searched; the buckets
+        # are those of the depth-first search that n >= 5 ran before, which
+        # took minutes on them
+        start = time.perf_counter()
+        code, out, err = run(capsys, "experiment", "synthetic", "--n", "5", "--m", "24",
+                             "--count", "20", "--seed", "1")
+        assert time.perf_counter() - start < 60
+        assert (code, out, err) == (0, (
+            "# config: n=5 m=24 count=20 seed=1 arithmetic=exact\n"
+            "n,m,bucket_lo,bucket_hi,count\n"
+            "5,24,1.3,1.4,4\n"
+            "5,24,1.4,1.5,6\n"
+            "5,24,1.5,1.6,1\n"
+            "5,24,1.6,1.7,9\n"), "")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,6 +1,11 @@
 """Golden CLI corpus: every command's exit code, stdout, stderr, warnings and
 written files, compared byte for byte with the records in tests/golden/.
 
+A case is one command, or a tuple of commands run in turn in one temp dir,
+so that a later command can read what an earlier one wrote.  Its record
+holds each command's exit code, stdout, stderr and warnings in order, then
+the files in the temp dir once.
+
 The records pin the CLI's output: a refactor must leave them unchanged.
 To re-capture them after a deliberate output change, run
 
@@ -34,8 +39,9 @@ def _witness(n, alpha, kind, m=None):
         ["--m", m] if m is not None else [])
 
 
-# case name -> argv; "{tmp}/<file>" arguments are output files whose
-# contents are part of the record.  Input paths are relative to GOLDEN.
+# case name -> argv, or a tuple of argvs; "{tmp}/<file>" arguments are files
+# in the temp dir, whose contents are part of the record.  Other input paths
+# are relative to GOLDEN.
 CASES = {
     # witness_upper: every construction tag, the n=2 ones on both sides of
     # 7/27, 2/7 and 3/11
@@ -102,6 +108,11 @@ CASES = {
     "mms_agent_out_of_range": ["mms", "--instance", "inputs/small.csv", "--n", "3",
                                "--agent", "4"],
     "mms_24": ["mms", "--instance", "inputs/mixed24.csv", "--n", "2", "--agent", "3"],
+    # the two-agent-mid witness at 3/11: its greedy seed reads 31 against a
+    # root bound of 28 (in 55ths), so the value 31/55 comes from the search
+    "mms_two_bundle_search": (
+        ["witness", "--n", "2", "--alpha", "3/11", "--out", "{tmp}/w.csv"],
+        ["mms", "--instance", "{tmp}/w.csv", "--n", "2"]),
     # allocate and verify
     "allocate_small": ["allocate", "--instance", "inputs/small.csv",
                        "--allocation-out", "{tmp}/a.txt"],
@@ -123,6 +134,12 @@ CASES = {
                   "--allocation", "inputs/alloc_24.txt"],
     "verify_wrong_shape": ["verify", "--instance", "inputs/mixed24.csv",
                            "--allocation", "inputs/alloc_small.txt"],
+    # a 12x90 instance of the benchmark's size, drawn with random.Random(23):
+    # power-law rows (entries 1/r) and rows 60 % zeros (entries 1..9) in turn
+    "allocate_verify_12x90": (
+        ["allocate", "--instance", "inputs/alloc_12x90.csv",
+         "--allocation-out", "{tmp}/alloc.txt"],
+        ["verify", "--instance", "inputs/alloc_12x90.csv", "--allocation", "{tmp}/alloc.txt"]),
     # experiments
     "synthetic": ["experiment", "synthetic", "--n", "2", "--m", "6,7,9",
                   "--count", "12", "--seed", "42", "--records-out", "{tmp}/r.csv"],
@@ -139,17 +156,19 @@ CASES = {
 }
 
 
-def run_case(argv, tmp: Path) -> str:
-    """Run one CLI command in-process and render everything it produced."""
-    argv = [str(a).replace("{tmp}", str(tmp)) for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    parts = [f"exit {code}\n", "--- stdout\n", out.getvalue(), "--- stderr\n", err.getvalue()]
-    if caught:
-        parts += ["--- warnings\n"] + [f"{w.message}\n" for w in caught]
+def run_case(case, tmp: Path) -> str:
+    """Run a case's commands in-process and render everything they produced."""
+    parts = []
+    for argv in case if isinstance(case, tuple) else (case,):
+        argv = [str(a).replace("{tmp}", str(tmp)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        parts += [f"exit {code}\n", "--- stdout\n", out.getvalue(), "--- stderr\n", err.getvalue()]
+        if caught:
+            parts += ["--- warnings\n"] + [f"{w.message}\n" for w in caught]
     for path in sorted(tmp.iterdir()):
         parts += [f"--- file {path.name}\n", path.read_text(encoding="utf-8")]
     return "".join(parts)
@@ -170,8 +189,8 @@ if __name__ == "__main__":
     os.chdir(GOLDEN)
     for old in GOLDEN.glob("*.txt"):
         old.unlink()
-    for name, argv in sorted(CASES.items()):
+    for name, case in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            record = run_case(argv, Path(tmp))
+            record = run_case(case, Path(tmp))
         (GOLDEN / f"{name}.txt").write_text(record, encoding="utf-8")
         print(f"{name}: {record.splitlines()[0]}", file=sys.stderr)
