@@ -236,7 +236,7 @@ def _synthetic(args: argparse.Namespace) -> None:
     except ValueError:
         raise ValidationError(
             f"--m {args.m!r} is not a comma-separated list of integers") from None
-    # each instance draws its whole row before the oracle's guard reads it
+    # each instance draws its whole row before the oracle's search budget reads it
     for m in m_values:
         if m > MAX_SYNTHETIC_OBJECTS:
             raise ValidationError(f"--m {m} is more than {MAX_SYNTHETIC_OBJECTS}")

@@ -22,6 +22,7 @@ the bound.
 from __future__ import annotations
 
 import heapq
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
@@ -30,10 +31,13 @@ from .core import Allocation, DisutilityVector, ValidationError, _printable, as_
 
 F = Fraction
 MAX_LEX_OBJECTS = 12  # lex_minmax enumerates every set partition of its objects
+MAX_SEARCH_ENTRIES = 2 ** 21  # subset-table entries one minmax_partition search may build
 
 
 class SearchLimitError(RuntimeError):
-    """Instance exceeds the oracle's scale guard; pass higher limits to override."""
+    """The exact search would exceed its effort limit: `MAX_SEARCH_ENTRIES`
+    subset-table entries or the recursion limit for `minmax_partition`,
+    `MAX_LEX_OBJECTS` objects for `lex_minmax`."""
 
 
 def _greedy_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
@@ -78,8 +82,23 @@ def _subsets(items: list[int], lo: int, hi: int) -> list[int]:
     return keys
 
 
+def _table_entries(items: list[int], lo: int, hi: int) -> int:
+    """len(_subsets(items, lo, hi)) without building the table: the product,
+    over the distinct values of items[lo:hi], of (copies + 1).  The count
+    stops early once it passes `MAX_SEARCH_ENTRIES`."""
+    count = added = 1
+    for i in range(lo, hi):
+        if i == lo or items[i] != items[i - 1]:
+            added = count
+        count += added
+        if count > MAX_SEARCH_ENTRIES:
+            break
+    return count
+
+
 def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
-                floor: int, failed: dict | None = None) -> tuple[int, list[int] | None]:
+                floor: int, failed: dict | None = None,
+                spent: list[int] | None = None) -> tuple[int, list[int] | None]:
     """Min-max n-partition, n >= 2, from the incumbent (best, assign); items
     descending.
 
@@ -111,6 +130,11 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     partition into that many bundles, and skip a rest whose entry is at
     least `best`.  A call given no table starts one for its sub-calls and
     reads none itself, since its own rests are all distinct.
+
+    Effort: `spent[0]` counts the subset-table entries that the top-level
+    call and its sub-calls have built.  Each call adds its table pair to it
+    before building the pair, and raises `SearchLimitError` when the count
+    passes `MAX_SEARCH_ENTRIES`.  A call given no counter starts one.
     """
     m = len(items)
     stop = max(_lower_bound(items, n), floor)
@@ -118,6 +142,10 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
         return best, assign
     total = sum(items)
     h = (m + 1) // 2
+    spent = [0] if spent is None else spent
+    spent[0] += _table_entries(items, 1, h) + _table_entries(items, h, m)
+    if spent[0] > MAX_SEARCH_ENTRIES:
+        raise SearchLimitError
     left, right = _subsets(items, 1, h), _subsets(items, h, m)
     first = items[0] << m | 1
     table = {} if failed is None else failed
@@ -147,7 +175,7 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
                 memo = None if failed is None else (n - 1, *rest)
                 if memo is not None and failed.get(memo, 0) >= best:
                     continue
-                value, split = _sequential(rest, n - 1, best, None, load, table)
+                value, split = _sequential(rest, n - 1, best, None, load, table, spent)
                 if memo is not None and value >= best:
                     failed[memo] = best
             value = max(load, value)
@@ -160,21 +188,18 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     return best, assign
 
 
-def minmax_partition(
-    v: DisutilityVector,
-    n: int,
-    *,
-    max_objects: int = 24,
-    max_agents: int = 10,
-) -> tuple[Fraction, Allocation]:
+def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]:
     """Exact MinMaxShare value of v for n agents, plus one optimal allocation.
 
     Zero-disutility objects never affect the optimum; they are stripped before
     the search and appended to the first bundle afterwards.  The greedy seed
     answers when it meets `_lower_bound` (the largest object, the average
     load and the pigeonhole count), whatever the row's size; otherwise
-    `_sequential` searches from it down to that bound, and a row over the
-    scale guard raises `SearchLimitError` with that root bracket.
+    `_sequential` searches from it down to that bound.  A search that would
+    build more than `MAX_SEARCH_ENTRIES` subset-table entries, its sub-calls
+    included, raises `SearchLimitError` with that root bracket.  So does one
+    that nests past the interpreter's recursion limit: a sub-call fixes one
+    bundle, so the search may nest n - 1 calls deep.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -186,16 +211,19 @@ def minmax_partition(
     lower = _lower_bound(items, n)
     opt, assign = _greedy_makespan(items, n)
     if opt != lower:
-        if len(idx) > max_objects or n > max_agents:
+        try:
+            opt, assign = _sequential(items, n, opt, assign, lower)
+        except (SearchLimitError, RecursionError) as exc:
             # a row built in Python may hold integers too long to print
             bracket = (f"[{F(lower, denom)}, {F(opt, denom)}]"
                        if _printable(max(opt, denom)) else "too long to print")
+            need = (f"needs more than {MAX_SEARCH_ENTRIES} subset-table entries"
+                    if isinstance(exc, SearchLimitError) else
+                    f"nests deeper than the recursion limit ({sys.getrecursionlimit()})")
             raise SearchLimitError(
-                f"{len(idx)} nonzero objects / {n} agents exceeds the scale "
-                f"guard ({max_objects} objects, {max_agents} agents); raise the "
-                f"limits explicitly to search anyway; root bracket {bracket}"
-            )
-        opt, assign = _sequential(items, n, opt, assign, lower)
+                f"{len(idx)} nonzero objects / {n} agents: the search {need}; "
+                f"root bracket {bracket}"
+            ) from None
     bundles = [set() for _ in range(n)]
     for pos, b in enumerate(assign):
         bundles[b].add(idx[pos])
@@ -203,9 +231,9 @@ def minmax_partition(
     return F(opt, denom), Allocation(tuple([frozenset(b) for b in bundles]))
 
 
-def exact_mms(v: DisutilityVector, n: int, **limits) -> Fraction:
+def exact_mms(v: DisutilityVector, n: int) -> Fraction:
     """min over n-partitions of the max bundle disutility, exactly."""
-    return minmax_partition(v, n, **limits)[0]
+    return minmax_partition(v, n)[0]
 
 
 def fits_under(v: DisutilityVector, n: int, threshold) -> bool:

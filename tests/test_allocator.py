@@ -26,6 +26,7 @@ from fairchores.core import (
     classify_guarantee,
     normalize,
 )
+from fairchores.experiments import gen_synthetic
 from fairchores.mms import exact_mms
 from fairchores.shares import guarantee, hill_share, witness_upper
 
@@ -678,3 +679,12 @@ class TestTwoAgentTight:
     def test_rejects_wrong_n(self):
         with pytest.raises(ValidationError):
             allocate_two_agents_tight(inst_from_rows([1, 1], [1, 1], [1, 1]))
+
+    def test_thirty_object_rows(self):
+        # the divider's 30-object row needs a search, within the table budget
+        rng = random.Random("two-agent-tight:30")
+        inst = Instance((gen_synthetic(30, rng), gen_synthetic(30, rng)))
+        alloc = allocate_two_agents_tight(inst)
+        alloc.validate(30)
+        for i, row in enumerate(inst.profile):
+            assert row.value_of(alloc.bundles[i]) <= hill_share(2, row.alpha(), 30)

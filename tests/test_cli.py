@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from fairchores.cli import build_parser, main
+from fairchores.experiments import gen_synthetic
+from fairchores.mms import exact_mms
 from test_cli_golden import CASES, run_case
 
 F = Fraction
@@ -207,8 +209,8 @@ class TestInputChecks:
         assert code == 0 and out.splitlines()[2] == "11,4,1/2,1/2,1/2,1", err
 
     def test_large_witness_round_trip(self, capsys, tmp_path):
-        # a 31-object witness: over the 24-object guard, but the greedy seed
-        # meets the root bound, so mms answers it
+        # a 31-object witness: the greedy seed meets the root bound, so mms
+        # answers it without a search
         w = tmp_path / "w.csv"
         assert run(capsys, "witness", "--n", "2", "--alpha", "1/30", "--out", str(w))[0] == 0
         code, out, err = run(capsys, "mms", "--instance", str(w), "--n", "2")
@@ -387,6 +389,31 @@ class TestAtScale:
             "5,24,1.4,1.5,6\n"
             "5,24,1.5,1.6,1\n"
             "5,24,1.6,1.7,9\n"), "")
+
+    def test_thirty_object_rows_are_searched(self, capsys, tmp_path):
+        # each 30-object row is searched within the oracle's table budget,
+        # and each record's MMS is exact_mms's on the same seeded row
+        records = tmp_path / "records.csv"
+        code, _, err = run(capsys, "experiment", "synthetic", "--n", "2", "--m", "30",
+                           "--count", "3", "--seed", "1", "--records-out", str(records))
+        assert (code, err) == (0, "")
+        rng = random.Random("1:2:30")
+        want = [exact_mms(gen_synthetic(30, rng), 2) for _ in range(3)]
+        lines = records.read_text().splitlines()[2:]
+        assert [F(line.split(",")[4]) for line in lines] == want
+
+    def test_search_past_the_recursion_limit(self, capsys, tmp_path):
+        # four 3s and 2,994 2s at n = 1,000: greedy gives 7 and the bound is
+        # 6; the table budget admits the search, but it fixes one bundle per
+        # nested call, so it passes the recursion limit and is refused
+        inst = tmp_path / "i.csv"
+        m = 2998
+        inst.write_text(",".join(f"object_{j}" for j in range(1, m + 1)) + "\n"
+                        + ",".join(["3"] * 4 + ["2"] * (m - 4)) + "\n")
+        code, out, err = run(capsys, "mms", "--instance", str(inst), "--n", "1000")
+        assert (code, out, err) == (2, "", (
+            f"error: {m} nonzero objects / 1000 agents: the search nests deeper than "
+            f"the recursion limit ({sys.getrecursionlimit()}); root bracket [1/1000, 7/6000]\n"))
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from fairchores import mms
 from fairchores.core import Allocation, DisutilityVector, ValidationError
 from fairchores.experiments import gen_synthetic
 from fairchores.mms import (
@@ -14,6 +15,8 @@ from fairchores.mms import (
     _greedy_makespan,
     _lower_bound,
     _sequential,
+    _subsets,
+    _table_entries,
     exact_mms,
     fits_under,
     lex_minmax,
@@ -53,19 +56,52 @@ class TestExactMMS:
         assert val == F(1, 2)
         alloc.validate(4)
 
-    def test_scale_guard(self):
-        # a seeded 30-object row whose greedy seed misses the root bound 1/2;
-        # the error states that bracket
-        big = gen_synthetic(30, random.Random(2))
-        with pytest.raises(SearchLimitError, match=r"root bracket \[1/2, 500072083/1000000000\]$"):
+    def test_scale_guard(self, monkeypatch):
+        # a seeded 30-object row is searched within the table budget
+        assert exact_mms(gen_synthetic(30, random.Random(2)), 2) == F(1, 2)
+        # at 48 objects the first table pair alone is over budget: the search
+        # is refused before any table is built, and the error states the
+        # root bracket
+        def no_table(*_):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(mms, "_subsets", no_table)
+        big = gen_synthetic(48, random.Random(2))
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitError,
+                           match=r"more than 2097152 subset-table entries; "
+                                 r"root bracket \[1/2, 12504859/25000000\]$"):
             exact_mms(big, 2)
-        # explicit limit raise is honored
-        assert exact_mms(big, 2, max_objects=30) == F(1, 2)
-        # a bracket too long to print does not hide the guard's error
+        assert time.perf_counter() - start < 0.1
+        # a bracket too long to print does not hide the budget's error
         huge = DisutilityVector._of_view(big.ints, big.denom * 10 ** sys.get_int_max_str_digits(),
                                          normalized=False)
         with pytest.raises(SearchLimitError, match="root bracket too long to print$"):
             exact_mms(huge, 2)
+
+    def test_budget_counts_sub_call_tables(self):
+        # a tie-heavy row whose top-level half tables are small: the search's
+        # sub-calls build the tables that pass the budget, and it stops there
+        rng = random.Random("ties:60:8:5:1")
+        v = DisutilityVector(tuple(F(7 * rng.randint(1, 8)) for _ in range(60)))
+        items = sorted(v.ints, reverse=True)
+        assert _table_entries(items, 1, 30) + _table_entries(items, 30, 60) < 20_000
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitError, match="root bracket"):
+            exact_mms(v, 5)
+        assert time.perf_counter() - start < 30
+
+    def test_table_entries_count_the_tables(self):
+        rng = random.Random("table-entries")
+        for _ in range(3000):
+            items = sorted((rng.choice((1, 2, 3, 5, 8, 8)) for _ in range(rng.randint(1, 16))),
+                           reverse=True)
+            lo = rng.randint(0, len(items))
+            hi = rng.randint(lo, len(items))
+            assert _table_entries(items, lo, hi) == len(_subsets(items, lo, hi))
+        # a count past the budget stops there, however long the row
+        row = list(range(10 ** 4, 0, -1))
+        assert mms.MAX_SEARCH_ENTRIES < _table_entries(row, 0, len(row)) <= 2 * mms.MAX_SEARCH_ENTRIES
 
     def test_no_search_case_answered_before_scale_guard(self):
         # at most n nonzero objects: one object per bundle, whatever the guard
@@ -80,8 +116,8 @@ class TestExactMMS:
             assert alloc.bundles[0] == frozenset(range(v.m))
 
     def test_root_settled_rows_never_hit_the_scale_guard(self):
-        # more objects or agents than the guard, but the greedy seed meets
-        # the root bound, so no search is needed
+        # 30 or more objects, but the greedy seed meets the root bound, so
+        # no search is needed
         assert exact_mms(DisutilityVector((F(1, 30),) * 30), 2) == F(1, 2)
         assert exact_mms(DisutilityVector((F(1, 40),) * 40), 2) == F(1, 2)
         assert exact_mms(DisutilityVector((F(1, 40),) * 40), 20) == F(1, 20)
@@ -93,6 +129,22 @@ class TestExactMMS:
             assert val == value
             alloc.validate(w.vector.m)
             assert max(w.vector.value_of(b) for b in alloc.bundles) == value
+
+    def test_root_settled_row_over_budget_builds_no_table(self, monkeypatch):
+        # objects 1..48: the first table pair alone is over budget, but the
+        # greedy seed meets the average load at n = 2 and 3, so the row is
+        # answered before any table is built
+        def no_table(*_):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(mms, "_subsets", no_table)
+        items = list(range(48, 0, -1))
+        assert _table_entries(items, 1, 24) + _table_entries(items, 24, 48) > mms.MAX_SEARCH_ENTRIES
+        v = DisutilityVector(tuple(F(k) for k in range(1, 49)))
+        for n in (2, 3):
+            val, alloc = minmax_partition(v, n)
+            assert val == F(1176, n)
+            assert max(v.value_of(b) for b in alloc.bundles) == val
 
     def test_matches_naive_oracle(self):
         rng = random.Random(7)
