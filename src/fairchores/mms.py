@@ -16,7 +16,10 @@ same way, down to two bundles, where the rest is the second bundle.  Above
 two bundles, only bundles that no remaining object fits into are split
 further (bin completion, Korf 2003), and a rest already proved not to beat
 a cutoff is not searched again.  The search stops once the incumbent meets
-the bound.
+the bound.  Each half table keeps only the subsets that fit, with the
+largest object, under the incumbent at the call's start: no bundle the
+search may try or skip is above that line.  The effort budget still
+counts both tables in full.
 """
 
 from __future__ import annotations
@@ -41,14 +44,15 @@ class SearchLimitError(RuntimeError):
 
 
 def _greedy_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
-    # longest-processing-time seed: least-loaded bundle, lowest index on ties
-    heap = [(0, b) for b in range(n)]
+    # longest-processing-time seed: least-loaded bundle, lowest index on ties;
+    # bundle b of load x is the heap entry x*n + b
+    heap = list(range(n))
     assign = [0] * len(items)
     for i, w in enumerate(items):
-        load, b = heap[0]
-        heapq.heapreplace(heap, (load + w, b))
-        assign[i] = b
-    return max(heap)[0], assign
+        top = heap[0]
+        assign[i] = top % n
+        heapq.heapreplace(heap, top + w * n)
+    return max(heap) // n, assign
 
 
 def _lower_bound(items: list[int], n: int) -> int:
@@ -65,18 +69,24 @@ def _lower_bound(items: list[int], n: int) -> int:
     return max(-(-prefix[-1] // n), max(pigeonhole, default=0))
 
 
-def _subsets(items: list[int], lo: int, hi: int) -> list[int]:
-    """Every subset of items[lo:hi] as one key `sum << m | mask`, ascending.
+def _subsets(items: list[int], lo: int, hi: int, cap: int | None = None) -> list[int]:
+    """Every subset of items[lo:hi] as one key `sum << m | mask`, ascending,
+    keeping only the keys below `cap` (all of them when `cap` is None).
 
     Bit i of the mask marks items[i], m = len(items).  Equal neighbours are
     taken first copy first, so ties add no duplicate multisets.  Keys of
-    disjoint subsets add up to the key of their union.
+    disjoint subsets add up to the key of their union, so a key at or above
+    `cap` has no superset below it, and the table is cut as it is built.
     """
     m = len(items)
-    keys, added = [0], []
+    if cap is None:
+        cap = (sum(items[lo:hi]) + 1) << m
+    keys, added = [0] if cap > 0 else [], []
     for i in range(lo, hi):
         step = items[i] << m | 1 << i
-        added = [k + step for k in (added if i > lo and items[i] == items[i - 1] else keys)]
+        below = cap - step
+        added = [k + step for k in (added if i > lo and items[i] == items[i - 1] else keys)
+                 if k < below]
         keys += added
     keys.sort()
     return keys
@@ -111,7 +121,10 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     [total - (n-1)(best-1), best-1].  At n = 2 the rest is the other bundle;
     above, the rest is split into n-1 bundles by calling itself with that
     sum as the floor, `best` as the cutoff and no incumbent.  The window
-    narrows as `best` falls.
+    narrows as `best` falls.  Both half tables keep only the keys whose sum
+    is below `best - items[0]` as `best` stands at the call's start (the
+    cut): a first bundle holds items[0] and stays below `best`, and `best`
+    only falls.
 
     Dominance (bin completion, Korf 2003): at n >= 3 a bundle B of sum
     `load` is skipped when `load + x < best`, x the smallest object outside
@@ -122,7 +135,9 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     into the first bundle turns a partition with first bundle B and every
     bundle below `best` into one with first bundle B'.  Once B' is settled,
     no partition with first bundle B' is below `best`, so none with B is.
-    At n = 2 the rest is one bundle, and the check would only cost time.
+    The cut keeps B': its sum is below `best`, so its keys in both halves
+    are below the cut.  At n = 2 the rest is one bundle, and the check would
+    only cost time.
 
     Failed rests: a rest can repeat only once two bundles are placed.  The
     sub-calls of one top-level call share `failed`, which maps
@@ -132,9 +147,11 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     reads none itself, since its own rests are all distinct.
 
     Effort: `spent[0]` counts the subset-table entries that the top-level
-    call and its sub-calls have built.  Each call adds its table pair to it
-    before building the pair, and raises `SearchLimitError` when the count
-    passes `MAX_SEARCH_ENTRIES`.  A call given no counter starts one.
+    call and its sub-calls would build uncut.  Each call adds its table
+    pair, counted in full, to it before building the pair, and raises
+    `SearchLimitError` when the count passes `MAX_SEARCH_ENTRIES`; the cut
+    changes what is built, not which searches are refused.  A call given no
+    counter starts one.
     """
     m = len(items)
     stop = max(_lower_bound(items, n), floor)
@@ -146,45 +163,59 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     spent[0] += _table_entries(items, 1, h) + _table_entries(items, h, m)
     if spent[0] > MAX_SEARCH_ENTRIES:
         raise SearchLimitError
-    left, right = _subsets(items, 1, h), _subsets(items, h, m)
-    first = items[0] << m | 1
+    # the window on a + r, the keys of items[1:] in the first bundle:
+    # low <= a + r < high compares sums, since disjoint masks add up to
+    # less than 1 << m
+    high = (best - items[0]) << m
+    low = (total - items[0] - (n - 1) * (best - 1)) << m
+    left, right = _subsets(items, 1, h, high), _subsets(items, h, m, high)
     table = {} if failed is None else failed
     for a in reversed(left):
-        start = items[0] + (a >> m)
-        if start >= best:
+        # best may have fallen below this key's load
+        if a >= high:
             continue
-        lo = bisect_left(right, (total - (n - 1) * (best - 1) - start) << m)
+        lo = bisect_left(right, low - a)
         if lo == len(right):
             break
-        for j in range(bisect_left(right, (best - start) << m) - 1, lo - 1, -1):
-            key = a + right[j] + first
-            load = key >> m
+        for j in range(bisect_left(right, high - a) - 1, lo - 1, -1):
+            key = a + right[j]
             # best may have fallen since the window was taken
-            if load >= best:
+            if key >= high:
                 continue
-            if total - load > (n - 1) * (best - 1):
+            if key < low:
                 break
-            others = [i for i in range(m) if not key >> i & 1]
-            # the rest is empty only under a cutoff above the total
-            if n == 2 or not others:
-                value, split = total - load, [0] * len(others)
-            elif load + items[others[-1]] < best:
-                continue
+            load = items[0] + (key >> m)
+            key |= 1
+            if n == 2:
+                value = max(load, total - load)
             else:
-                rest = [items[i] for i in others]
-                memo = None if failed is None else (n - 1, *rest)
-                if memo is not None and failed.get(memo, 0) >= best:
+                others = [i for i in range(m) if not key >> i & 1]
+                # the rest is empty only under a cutoff above the total
+                if not others:
+                    value, split = load, []
+                elif load + items[others[-1]] < best:
                     continue
-                value, split = _sequential(rest, n - 1, best, None, load, table, spent)
-                if memo is not None and value >= best:
-                    failed[memo] = best
-            value = max(load, value)
+                else:
+                    rest = [items[i] for i in others]
+                    memo = None if failed is None else (n - 1, *rest)
+                    if memo is not None and failed.get(memo, 0) >= best:
+                        continue
+                    value, split = _sequential(rest, n - 1, best, None, load, table, spent)
+                    if memo is not None and value >= best:
+                        failed[memo] = best
+                    value = max(load, value)
             if value < best:
-                best, assign = value, [0] * m
-                for k, i in enumerate(others):
-                    assign[i] = 1 + split[k]
+                best = value
+                if n == 2:
+                    assign = [0 if key >> i & 1 else 1 for i in range(m)]
+                else:
+                    assign = [0] * m
+                    for k, i in enumerate(others):
+                        assign[i] = 1 + split[k]
                 if best <= stop:
                     return best, assign
+                high = (best - items[0]) << m
+                low = (total - items[0] - (n - 1) * (best - 1)) << m
     return best, assign
 
 
@@ -204,9 +235,9 @@ def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]
     if n < 1:
         raise ValidationError("need n >= 1")
     ints, denom = v.ints, v.denom
-    idx = [j for j, x in enumerate(ints) if x > 0]
-    zeros = [j for j, x in enumerate(ints) if x == 0]
-    idx.sort(key=ints.__getitem__, reverse=True)
+    order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
+    cut = len(ints) - ints.count(0)
+    idx, zeros = order[:cut], order[cut:]
     items = [ints[j] for j in idx]
     lower = _lower_bound(items, n)
     opt, assign = _greedy_makespan(items, n)

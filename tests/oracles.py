@@ -10,6 +10,7 @@ builds one Fraction per cell.  Nothing from the package is reused beyond
 the plain data types and, in the knife, the guarantee cap.
 """
 
+import heapq
 import math
 import sys
 from fractions import Fraction
@@ -73,6 +74,20 @@ def bnb_mms(items, n: int) -> int:
 
     recurse(0, 0, 0)
     return best
+
+
+def lpt_seed(items, n: int):
+    """Longest processing time as the package seeded its search before it
+    kept each bundle as one integer: a heap of (load, bundle) tuples, each
+    object to the least loaded bundle, lowest index on ties.  Returns
+    (largest load, bundle of each object)."""
+    heap = [(0, b) for b in range(n)]
+    assign = []
+    for w in items:
+        load, b = heapq.heappop(heap)
+        heapq.heappush(heap, (load + w, b))
+        assign.append(b)
+    return max(heap)[0], assign
 
 
 def dfs_partition(items, n: int):

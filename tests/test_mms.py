@@ -24,7 +24,7 @@ from fairchores.mms import (
 )
 from fairchores.shares import witness_lower, witness_upper
 
-from oracles import bnb_mms, dfs_partition, naive_lex_key, naive_mms
+from oracles import bnb_mms, dfs_partition, lpt_seed, naive_lex_key, naive_mms
 from test_acceptance import share_grid
 
 F = Fraction
@@ -56,7 +56,7 @@ class TestExactMMS:
         assert val == F(1, 2)
         alloc.validate(4)
 
-    def test_scale_guard(self, monkeypatch):
+    def test_table_budget(self, monkeypatch):
         # a seeded 30-object row is searched within the table budget
         assert exact_mms(gen_synthetic(30, random.Random(2)), 2) == F(1, 2)
         # at 48 objects the first table pair alone is over budget: the search
@@ -103,7 +103,7 @@ class TestExactMMS:
         row = list(range(10 ** 4, 0, -1))
         assert mms.MAX_SEARCH_ENTRIES < _table_entries(row, 0, len(row)) <= 2 * mms.MAX_SEARCH_ENTRIES
 
-    def test_no_search_case_answered_before_scale_guard(self):
+    def test_no_search_case_answered_before_table_budget(self):
         # at most n nonzero objects: one object per bundle, whatever the guard
         val, alloc = minmax_partition(vec("1/2", "3/10", "1/5", 0), 11)
         assert val == F(1, 2) and alloc.n == 11
@@ -115,7 +115,7 @@ class TestExactMMS:
             alloc.validate(v.m)
             assert alloc.bundles[0] == frozenset(range(v.m))
 
-    def test_root_settled_rows_never_hit_the_scale_guard(self):
+    def test_root_settled_rows_never_hit_the_table_budget(self):
         # 30 or more objects, but the greedy seed meets the root bound, so
         # no search is needed
         assert exact_mms(DisutilityVector((F(1, 30),) * 30), 2) == F(1, 2)
@@ -373,6 +373,82 @@ class TestSequentialCutoff:
                     break
             assert reached == 20
         assert above_bound >= 30
+
+
+class TestCutTables:
+    """`_sequential` builds each half table cut below `best - items[0]`, the
+    first bundle's room at the call's start.  A cut table is the full table
+    filtered, and the budget still counts the full pair."""
+
+    def test_cut_table_is_the_full_table_below_the_cap(self):
+        rng = random.Random("cut-tables")
+        straddled = 0
+        for _ in range(1500):
+            m = rng.randint(1, 14)
+            items = sorted((rng.choice((1, 2, 2, 3, 5, 5, 5, 8)) for _ in range(m)),
+                           reverse=True)
+            # the halves `_sequential` builds, and any slice
+            h = (m + 1) // 2
+            lo, hi = rng.choice(((1, h), (h, m), (rng.randint(0, m), None)))
+            hi = rng.randint(lo, m) if hi is None else hi
+            straddled += 0 < lo < m and items[lo] == items[lo - 1]
+            full = _subsets(items, lo, hi)
+            caps = {0, -1, 1, rng.choice(full), rng.choice(full) + 1, full[-1], full[-1] + 1,
+                    rng.randint(1, sum(items) + 1) << m}
+            if len(full) > 1:
+                caps |= {full[1], full[1] - 1}  # at and below the first key past 0
+            for cap in caps:
+                assert _subsets(items, lo, hi, cap) == [k for k in full if k < cap], \
+                    (items, lo, hi, cap)
+        # ties cut by the slice's start: the first copy in the slice is taken
+        # as a first copy
+        assert straddled >= 100
+        items = [5, 5, 5, 5, 3, 3]
+        assert _subsets(items, 2, 6, 0) == []
+        assert _subsets(items, 2, 6, 7 << 6) == [0, 3 << 6 | 16, 5 << 6 | 4, 6 << 6 | 48]
+        assert _subsets(items, 2, 6, 1) == [0]
+
+    def test_budget_counts_the_uncut_tables(self, monkeypatch):
+        full = []
+
+        def recording(items, lo, hi, cap):
+            whole = cut(items, lo, hi)
+            full.append(len(whole))
+            table = cut(items, lo, hi, cap)
+            assert table == [k for k in whole if k < cap]
+            return table
+
+        cut = mms._subsets
+        monkeypatch.setattr(mms, "_subsets", recording)
+        rng = random.Random("uncut-budget")
+        reached = 0
+        for _ in range(300):
+            n, k = rng.randint(2, 5), rng.choice((5, 30, 1000))
+            items = sorted((rng.randint(1, k) for _ in range(rng.randint(9, 14))), reverse=True)
+            best, assign = _greedy_makespan(items, n)
+            if best == _lower_bound(items, n):
+                continue
+            spent = [0]
+            full.clear()
+            value = _sequential(items, n, best, assign, 0, None, spent)[0]
+            assert spent[0] == sum(full)
+            assert value == bnb_mms(items, n)
+            reached += 1
+        assert reached >= 50
+
+
+class TestGreedySeed:
+    def test_matches_tuple_heap_reference(self):
+        # bundle b of load x is the heap entry x*n + b: the same least-loaded,
+        # lowest-index choice as a heap of (load, bundle) tuples
+        rng = random.Random("lpt")
+        for n in range(1, 13):
+            for _ in range(100):
+                k = rng.choice((2, 5, 1000, 10 ** 30))
+                items = sorted((rng.randint(1, k) for _ in range(rng.randint(0, 30))),
+                               reverse=True)
+                value, assign = _greedy_makespan(items, n)
+                assert (value, assign) == lpt_seed(items, n), (items, n)
 
 
 class TestFailedRests:
