@@ -305,13 +305,6 @@ def allocate_two_agents_tight(inst: Instance) -> Allocation:
     divider = min((0, 1), key=lambda i: (alphas[i] == 0, bound(i)))
     chooser = 1 - divider
     _, parts = minmax_partition(inst.profile[divider], 2)
-    b0, b1 = parts.bundles
-    ch_row = inst.profile[chooser]
-    if ch_row.value_of(b0) <= ch_row.value_of(b1):
-        chosen, other = b0, b1
-    else:
-        chosen, other = b1, b0
-    bundles = [frozenset(), frozenset()]
-    bundles[chooser] = chosen
-    bundles[divider] = other
-    return Allocation(tuple(bundles))
+    # a stable sort: on a tie the chooser keeps the first bundle
+    chosen, other = sorted(parts.bundles, key=inst.profile[chooser].value_of)
+    return Allocation((chosen, other) if chooser == 0 else (other, chosen))

@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_allocation_file(path: str, n: int, m: int):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [(k, ln.strip()) for k, ln in enumerate(fh.read().splitlines(), 1)]
     lines = [(k, ln) for k, ln in lines if ln and not ln.startswith("#")]
     if len(lines) != n:

@@ -360,7 +360,7 @@ def parse_instance_csv(text: str) -> Instance:
 
 
 def read_instance_csv(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_instance_csv(fh.read())
 
 

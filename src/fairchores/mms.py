@@ -4,21 +4,22 @@ The exact min-max n-partition value is computed on the row's stored integers
 (`DisutilityVector.ints`, the entries over their least common denominator
 `denom`), objects sorted descending, so no `Fraction` sum occurs in a search.
 
-A greedy seed answers the row when it meets the root lower bound, the largest
-of three (Dell'Amico & Martello, 1995): the largest object, the average load
-`ceil(total/n)`, and the pigeonhole count, by which some bundle holds k+1 of
-the kn+1 largest objects.  Otherwise, for every n >= 2, sequential
-partitioning (after Schreiber, Korf & Moffitt, 2018) searches: the bundle of
-the largest object is enumerated from the subset sums of two halves of the
-other objects (Horowitz & Sahni, 1974), heaviest first and within the sums
-that could beat the incumbent, and the rest is split into n-1 bundles the
-same way, down to two bundles, where the rest is the second bundle.  Above
-two bundles, only bundles that no remaining object fits into are split
-further (bin completion, Korf 2003), and a rest already proved not to beat
-a cutoff is not searched again.  The search stops once the incumbent meets
-the bound.  Each half table keeps only the subsets that fit, with the
-largest object, under the incumbent at the call's start: no bundle the
-search may try or skip is above that line.  The effort budget still
+Every row goes to one search, sequential partitioning (after Schreiber, Korf
+& Moffitt, 2018), seeded with a greedy partition.  The search stops once its
+incumbent meets the root lower bound, the largest of three (Dell'Amico &
+Martello, 1995): the largest object, the average load `ceil(total/n)`, and
+the pigeonhole count, by which some bundle holds k+1 of the kn+1 largest
+objects.  A seed that meets the bound, as for n = 1 or an empty row, is
+returned at the search's first call.  Otherwise the bundle of the largest
+object is enumerated from the subset sums of two halves of the other
+objects (Horowitz & Sahni, 1974), heaviest first and within the sums that
+could beat the incumbent, and the rest is split into n-1 bundles the same
+way, down to two bundles, where the rest is the second bundle.  Above two
+bundles, only bundles that no remaining object fits into are split further
+(bin completion, Korf 2003), and a rest already proved not to beat a cutoff
+is not searched again.  Each half table keeps only the subsets that fit,
+with the largest object, under the incumbent at the call's start: no bundle
+the search may try or skip is above that line.  The effort budget still
 counts both tables in full.
 """
 
@@ -109,13 +110,15 @@ def _table_entries(items: list[int], lo: int, hi: int) -> int:
 def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
                 floor: int, failed: dict | None = None,
                 spent: list[int] | None = None) -> tuple[int, list[int] | None]:
-    """Min-max n-partition, n >= 2, from the incumbent (best, assign); items
+    """Min-max n-partition, n >= 1, from the incumbent (best, assign); items
     descending.
 
     Returns an optimum, or the first partition found at or below the larger
-    of the lower bound and `floor`.  A caller may pass a `best` below the
-    value of `assign` as a cutoff: a returned value of at least `best` then
-    says that no partition below it exists, and its assignment is not used.
+    of the lower bound and `floor`; a call whose incumbent is already there
+    returns it untouched, which settles every n = 1 or empty row.  A caller
+    may pass a `best` below the value of `assign` as a cutoff: a returned
+    value of at least `best` then says that no partition below it exists,
+    and its assignment is not used.
     Enumerates the bundle that holds items[0] from the half tables of
     items[1:], heaviest key first, keeping its sum within
     [total - (n-1)(best-1), best-1].  At n = 2 the rest is the other bundle;
@@ -139,12 +142,14 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     are below the cut.  At n = 2 the rest is one bundle, and the check would
     only cost time.
 
-    Failed rests: a rest can repeat only once two bundles are placed.  The
-    sub-calls of one top-level call share `failed`, which maps
-    `(bundles, *rest)` to the largest cutoff under which that rest had no
-    partition into that many bundles, and skip a rest whose entry is at
-    least `best`.  A call given no table starts one for its sub-calls and
-    reads none itself, since its own rests are all distinct.
+    Failed rests: a top-level call and its sub-calls share `failed`, which
+    maps `(bundles, *rest)` to the largest cutoff under which that rest had
+    no partition into that many bundles; each call skips a rest whose entry
+    is at least `best` and records each rest it fails to split.  A call
+    given no table starts one, as with `spent`.  A rest can repeat only once
+    two bundles are placed, so the top-level call's own lookups all miss:
+    its rests are distinct multisets (the tie rule of `_subsets`), and a
+    sub-call's keys count fewer bundles.
 
     Effort: `spent[0]` counts the subset-table entries that the top-level
     call and its sub-calls would build uncut.  Each call adds its table
@@ -159,6 +164,7 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
         return best, assign
     total = sum(items)
     h = (m + 1) // 2
+    failed = {} if failed is None else failed
     spent = [0] if spent is None else spent
     spent[0] += _table_entries(items, 1, h) + _table_entries(items, h, m)
     if spent[0] > MAX_SEARCH_ENTRIES:
@@ -169,17 +175,15 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     high = (best - items[0]) << m
     low = (total - items[0] - (n - 1) * (best - 1)) << m
     left, right = _subsets(items, 1, h, high), _subsets(items, h, m, high)
-    table = {} if failed is None else failed
     for a in reversed(left):
-        # best may have fallen below this key's load
-        if a >= high:
-            continue
         lo = bisect_left(right, low - a)
         if lo == len(right):
             break
         for j in range(bisect_left(right, high - a) - 1, lo - 1, -1):
             key = a + right[j]
-            # best may have fallen since the window was taken
+            # best may have fallen to this key's load since the window was
+            # taken; a sub-call here would record a rest that may split below
+            # best as failed under it
             if key >= high:
                 continue
             if key < low:
@@ -197,11 +201,11 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
                     continue
                 else:
                     rest = [items[i] for i in others]
-                    memo = None if failed is None else (n - 1, *rest)
-                    if memo is not None and failed.get(memo, 0) >= best:
+                    memo = (n - 1, *rest)
+                    if failed.get(memo, 0) >= best:
                         continue
-                    value, split = _sequential(rest, n - 1, best, None, load, table, spent)
-                    if memo is not None and value >= best:
+                    value, split = _sequential(rest, n - 1, best, None, load, failed, spent)
+                    if value >= best:
                         failed[memo] = best
                     value = max(load, value)
             if value < best:
@@ -223,14 +227,15 @@ def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]
     """Exact MinMaxShare value of v for n agents, plus one optimal allocation.
 
     Zero-disutility objects never affect the optimum; they are stripped before
-    the search and appended to the first bundle afterwards.  The greedy seed
-    answers when it meets `_lower_bound` (the largest object, the average
-    load and the pigeonhole count), whatever the row's size; otherwise
-    `_sequential` searches from it down to that bound.  A search that would
-    build more than `MAX_SEARCH_ENTRIES` subset-table entries, its sub-calls
-    included, raises `SearchLimitError` with that root bracket.  So does one
-    that nests past the interpreter's recursion limit: a sub-call fixes one
-    bundle, so the search may nest n - 1 calls deep.
+    the search and appended to the first bundle afterwards.  `_sequential`
+    searches from the greedy seed down to `_lower_bound` (the largest
+    object, the average load and the pigeonhole count); a seed that meets
+    the bound is returned at its first call, whatever the row's size.  A
+    search that would build more than `MAX_SEARCH_ENTRIES` subset-table
+    entries, its sub-calls included, raises `SearchLimitError` with that
+    root bracket.  So does one that nests past the interpreter's recursion
+    limit: a sub-call fixes one bundle, so the search may nest n - 1 calls
+    deep.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -239,22 +244,20 @@ def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]
     cut = len(ints) - ints.count(0)
     idx, zeros = order[:cut], order[cut:]
     items = [ints[j] for j in idx]
-    lower = _lower_bound(items, n)
     opt, assign = _greedy_makespan(items, n)
-    if opt != lower:
-        try:
-            opt, assign = _sequential(items, n, opt, assign, lower)
-        except (SearchLimitError, RecursionError) as exc:
-            # a row built in Python may hold integers too long to print
-            bracket = (f"[{F(lower, denom)}, {F(opt, denom)}]"
-                       if _printable(max(opt, denom)) else "too long to print")
-            need = (f"needs more than {MAX_SEARCH_ENTRIES} subset-table entries"
-                    if isinstance(exc, SearchLimitError) else
-                    f"nests deeper than the recursion limit ({sys.getrecursionlimit()})")
-            raise SearchLimitError(
-                f"{len(idx)} nonzero objects / {n} agents: the search {need}; "
-                f"root bracket {bracket}"
-            ) from None
+    try:
+        opt, assign = _sequential(items, n, opt, assign, 0)
+    except (SearchLimitError, RecursionError) as exc:
+        # a row built in Python may hold integers too long to print
+        bracket = (f"[{F(_lower_bound(items, n), denom)}, {F(opt, denom)}]"
+                   if _printable(max(opt, denom)) else "too long to print")
+        need = (f"needs more than {MAX_SEARCH_ENTRIES} subset-table entries"
+                if isinstance(exc, SearchLimitError) else
+                f"nests deeper than the recursion limit ({sys.getrecursionlimit()})")
+        raise SearchLimitError(
+            f"{len(idx)} nonzero objects / {n} agents: the search {need}; "
+            f"root bracket {bracket}"
+        ) from None
     bundles = [set() for _ in range(n)]
     for pos, b in enumerate(assign):
         bundles[b].add(idx[pos])

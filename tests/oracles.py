@@ -2,12 +2,13 @@
 
 Deliberately naive: the MMS oracles enumerate all n**m assignments with no
 pruning (`bnb_mms`, a branch and bound, is the reference for sizes beyond
-that reach), the knife renormalises every agent's remaining values at every
-level, the lift scans every object for each position, the share
-references evaluate each piece in Fraction arithmetic, locating alpha by
-comparing it with the interval ends as Fractions, and the instance reader
-builds one Fraction per cell.  Nothing from the package is reused beyond
-the plain data types and, in the knife, the guarantee cap.
+that reach, and `lattice_mms`, a dynamic program over bundle loads, is one
+that shares no search with either), the knife renormalises every agent's
+remaining values at every level, the lift scans every object for each
+position, the share references evaluate each piece in Fraction arithmetic,
+locating alpha by comparing it with the interval ends as Fractions, and the
+instance reader builds one Fraction per cell.  Nothing from the package is
+reused beyond the plain data types and, in the knife, the guarantee cap.
 """
 
 import heapq
@@ -88,6 +89,25 @@ def lpt_seed(items, n: int):
         heapq.heappush(heap, (load + w, b))
         assign.append(b)
     return max(heap)[0], assign
+
+
+def lattice_mms(parts, n: int) -> int:
+    """min over n-partitions of the max bundle sum of non-negative integers,
+    by dynamic programming over bundle loads.
+
+    A state is the ascending tuple of the n loads.  The parts are placed
+    largest first, each into every bundle of every state; a state whose
+    largest load exceeds the `lpt_seed` value is dropped, since a partition
+    that good exists.  The answer is the least largest load of a final
+    state.
+    """
+    parts = sorted(parts, reverse=True)
+    bound = lpt_seed(parts, n)[0]
+    states = {(0,) * n}
+    for w in parts:
+        states = {tuple(sorted(loads[:b] + (loads[b] + w,) + loads[b + 1:]))
+                  for loads in states for b in range(n) if loads[b] + w <= bound}
+    return min(loads[-1] for loads in states)
 
 
 def dfs_partition(items, n: int):

@@ -114,6 +114,43 @@ class TestVerify:
         assert code == 2
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    write it, is ignored in instance and allocation files: each command's
+    output equals the one on the same file without the mark."""
+
+    BOM = b"\xef\xbb\xbf"
+    INSTANCE = ("object_1,object_2,object_3,object_4,object_5\n"
+                "3/10,1/4,1/4,1/10,1/10\n1/5,1/5,1/5,1/5,1/5\n").encode()
+
+    def commands(self, capsys, tmp_path, mark):
+        inst, alloc = tmp_path / "i.csv", tmp_path / "a.txt"
+        inst.write_bytes(mark + self.INSTANCE)
+        results = [run(capsys, "allocate", "--instance", str(inst),
+                       "--allocation-out", str(alloc)),
+                   run(capsys, "mms", "--instance", str(inst), "--n", "2"),
+                   run(capsys, "verify", "--instance", str(inst),
+                       "--allocation", str(alloc)),
+                   run(capsys, "experiment", "ratios", "--instance", str(inst),
+                       "--n", "3")]
+        return results, alloc.read_bytes()
+
+    def test_instance_file(self, capsys, tmp_path):
+        plain = self.commands(capsys, tmp_path, b"")
+        assert [code for code, *_ in plain[0]] == [0, 0, 0, 0]
+        assert self.commands(capsys, tmp_path, self.BOM) == plain
+
+    def test_allocation_file(self, capsys, tmp_path):
+        inst, alloc = tmp_path / "i.csv", tmp_path / "a.txt"
+        inst.write_bytes(self.INSTANCE)
+        argv = ("verify", "--instance", str(inst), "--allocation", str(alloc))
+        alloc.write_bytes(b"1,4,5\n2,3\n")
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and "all guarantees satisfied" in plain[1]
+        alloc.write_bytes(self.BOM + b"1,4,5\n2,3\n")
+        assert run(capsys, *argv) == plain
+
+
 class TestExperimentCommands:
     def test_synthetic(self, capsys):
         code, out, _ = run(capsys, "experiment", "synthetic", "--n", "2",

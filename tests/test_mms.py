@@ -479,6 +479,30 @@ class TestFailedRests:
         assert min(entries[b] for b in (2, 3, 4)) >= 20
 
 
+class TestFailedRestsAfterAFall:
+    """Once the incumbent falls to the load of the first bundle that set it,
+    the next keys of that load lie at or above the new cut, and the inner
+    `key >= high` guard skips them.  Without it, each such bundle's sub-call
+    would get a floor of at least `best`, return at once, and have its rest
+    recorded as failed under `best`, though the rest may split below it.
+    The rows are ones on which a random search found that to happen."""
+
+    @pytest.mark.parametrize("items, n", [
+        ([9, 9, 9, 8, 8, 8, 7, 7, 7, 3, 2, 2, 1], 4),
+        ([9, 9, 8, 7, 6, 6, 5, 4, 3, 3, 3, 2], 5),
+        ([8, 8, 7, 7, 6, 6, 5, 2, 1, 1], 3),
+        ([8, 8, 8, 8, 7, 7, 6, 6, 6, 3, 2, 2, 1], 4),
+        ([8, 8, 8, 8, 7, 7, 6, 6, 4, 4, 3, 3, 3, 1], 4),
+    ])
+    def test_every_entry_is_a_failure(self, items, n):
+        best, assign = _greedy_makespan(items, n)
+        failed = {}
+        value, _ = _sequential(items, n, best, assign, 0, failed)
+        assert value == bnb_mms(items, n)
+        for (bundles, *rest), c in failed.items():
+            assert bnb_mms(rest, bundles) >= c, (bundles, rest, c)
+
+
 class TestFiveOrMoreBundles:
     """n >= 5 runs the same sequential partitioning as n <= 4, with the
     dominance rule and the failed-rest table doing the work there.  Values
