@@ -14,7 +14,9 @@ returned at the search's first call.  Otherwise the bundle of the largest
 object is enumerated from the subset sums of two halves of the other
 objects (Horowitz & Sahni, 1974), heaviest first and within the sums that
 could beat the incumbent, and the rest is split into n-1 bundles the same
-way, down to two bundles, where the rest is the second bundle.  Above two
+way, down to two bundles, where the rest is the second bundle.  Each of
+these sub-searches is a generator frame on one explicit stack, so a search
+may nest n - 1 deep whatever the interpreter's recursion limit.  Above two
 bundles, only bundles that no remaining object fits into are split further
 (bin completion, Korf 2003), and a rest already proved not to beat a cutoff
 is not searched again.  Each half table keeps only the subsets that fit,
@@ -26,7 +28,6 @@ counts both tables in full.
 from __future__ import annotations
 
 import heapq
-import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
@@ -40,8 +41,8 @@ MAX_SEARCH_ENTRIES = 2 ** 21  # subset-table entries one minmax_partition search
 
 class SearchLimitError(RuntimeError):
     """The exact search would exceed its effort limit: `MAX_SEARCH_ENTRIES`
-    subset-table entries or the recursion limit for `minmax_partition`,
-    `MAX_LEX_OBJECTS` objects for `lex_minmax`."""
+    subset-table entries for `minmax_partition`, `MAX_LEX_OBJECTS` objects
+    for `lex_minmax`."""
 
 
 def _greedy_makespan(items: list[int], n: int) -> tuple[int, list[int]]:
@@ -65,9 +66,12 @@ def _lower_bound(items: list[int], n: int) -> int:
     them.  At k = 0 that sum is the largest object, items[0].
     """
     prefix = list(accumulate(items, initial=0))
-    pigeonhole = (prefix[k * n + 1] - prefix[k * n - k]
-                  for k in range((len(items) - 1) // n + 1))
-    return max(-(-prefix[-1] // n), max(pigeonhole, default=0))
+    bound = -(-prefix[-1] // n)
+    for k in range((len(items) - 1) // n + 1):
+        pigeonhole = prefix[k * n + 1] - prefix[k * n - k]
+        if pigeonhole > bound:
+            bound = pigeonhole
+    return bound
 
 
 def _subsets(items: list[int], lo: int, hi: int, cap: int | None = None) -> list[int]:
@@ -119,15 +123,43 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     may pass a `best` below the value of `assign` as a cutoff: a returned
     value of at least `best` then says that no partition below it exists,
     and its assignment is not used.
+
+    The search runs as a stack of `_frame` generators, one per call: a frame
+    yields the arguments of a sub-call, the loop pushes a frame for it, and
+    the sub-call's result is sent to the frame below once it returns.  So
+    a search may nest as deep as it has bundles, whatever the interpreter's
+    recursion limit, and its only limit is `MAX_SEARCH_ENTRIES`.  All frames
+    of one search share `failed` and `spent`; a call given no table or no
+    counter starts its own.
+    """
+    failed = {} if failed is None else failed
+    spent = [0] if spent is None else spent
+    stack, result = [_frame(items, n, best, assign, floor, failed, spent).send], None
+    while stack:
+        # the top frame either asks for a sub-call, which is pushed, or
+        # returns, and its result goes to the frame below
+        try:
+            stack.append(_frame(*stack[-1](result), failed, spent).send)
+            result = None
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+    return result
+
+
+def _frame(items, n, best, assign, floor, failed, spent):
+    """One call of `_sequential`, as a generator that yields each sub-call
+    `(rest, n - 1, cutoff, None, floor)` and is sent its result.
+
     Enumerates the bundle that holds items[0] from the half tables of
     items[1:], heaviest key first, keeping its sum within
     [total - (n-1)(best-1), best-1].  At n = 2 the rest is the other bundle;
-    above, the rest is split into n-1 bundles by calling itself with that
-    sum as the floor, `best` as the cutoff and no incumbent.  The window
-    narrows as `best` falls.  Both half tables keep only the keys whose sum
-    is below `best - items[0]` as `best` stands at the call's start (the
-    cut): a first bundle holds items[0] and stays below `best`, and `best`
-    only falls.
+    above, the rest is split into n-1 bundles by a sub-call with that sum as
+    the floor, `best` as the cutoff and no incumbent.  The window narrows as
+    `best` falls.  Both half tables keep only the keys whose sum is below
+    `best - items[0]` as `best` stands at the call's start (the cut): a
+    first bundle holds items[0] and stays below `best`, and `best` only
+    falls.
 
     Dominance (bin completion, Korf 2003): at n >= 3 a bundle B of sum
     `load` is skipped when `load + x < best`, x the smallest object outside
@@ -142,21 +174,19 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     are below the cut.  At n = 2 the rest is one bundle, and the check would
     only cost time.
 
-    Failed rests: a top-level call and its sub-calls share `failed`, which
-    maps `(bundles, *rest)` to the largest cutoff under which that rest had
-    no partition into that many bundles; each call skips a rest whose entry
-    is at least `best` and records each rest it fails to split.  A call
-    given no table starts one, as with `spent`.  A rest can repeat only once
-    two bundles are placed, so the top-level call's own lookups all miss:
-    its rests are distinct multisets (the tie rule of `_subsets`), and a
-    sub-call's keys count fewer bundles.
+    Failed rests: `failed` maps `(bundles, *rest)` to the largest cutoff
+    under which that rest had no partition into that many bundles; each
+    frame skips a rest whose entry is at least `best` and records each rest
+    it fails to split.  A rest can repeat only once two bundles are placed,
+    so the root frame's own lookups all miss: its rests are distinct
+    multisets (the tie rule of `_subsets`), and a sub-call's keys count
+    fewer bundles.
 
-    Effort: `spent[0]` counts the subset-table entries that the top-level
-    call and its sub-calls would build uncut.  Each call adds its table
-    pair, counted in full, to it before building the pair, and raises
-    `SearchLimitError` when the count passes `MAX_SEARCH_ENTRIES`; the cut
-    changes what is built, not which searches are refused.  A call given no
-    counter starts one.
+    Effort: `spent[0]` counts the subset-table entries that the frames of
+    one search would build uncut.  Each frame adds its table pair, counted
+    in full, to it before building the pair, and raises `SearchLimitError`
+    when the count passes `MAX_SEARCH_ENTRIES`; the cut changes what is
+    built, not which searches are refused.
     """
     m = len(items)
     stop = max(_lower_bound(items, n), floor)
@@ -164,8 +194,6 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
         return best, assign
     total = sum(items)
     h = (m + 1) // 2
-    failed = {} if failed is None else failed
-    spent = [0] if spent is None else spent
     spent[0] += _table_entries(items, 1, h) + _table_entries(items, h, m)
     if spent[0] > MAX_SEARCH_ENTRIES:
         raise SearchLimitError
@@ -204,7 +232,7 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
                     memo = (n - 1, *rest)
                     if failed.get(memo, 0) >= best:
                         continue
-                    value, split = _sequential(rest, n - 1, best, None, load, failed, spent)
+                    value, split = yield rest, n - 1, best, None, load
                     if value >= best:
                         failed[memo] = best
                     value = max(load, value)
@@ -233,9 +261,8 @@ def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]
     the bound is returned at its first call, whatever the row's size.  A
     search that would build more than `MAX_SEARCH_ENTRIES` subset-table
     entries, its sub-calls included, raises `SearchLimitError` with that
-    root bracket.  So does one that nests past the interpreter's recursion
-    limit: a sub-call fixes one bundle, so the search may nest n - 1 calls
-    deep.
+    root bracket.  A sub-call fixes one bundle, so a search may nest n - 1
+    calls deep; they run on an explicit stack, so that depth is no limit.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -247,16 +274,13 @@ def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]
     opt, assign = _greedy_makespan(items, n)
     try:
         opt, assign = _sequential(items, n, opt, assign, 0)
-    except (SearchLimitError, RecursionError) as exc:
+    except SearchLimitError:
         # a row built in Python may hold integers too long to print
         bracket = (f"[{F(_lower_bound(items, n), denom)}, {F(opt, denom)}]"
                    if _printable(max(opt, denom)) else "too long to print")
-        need = (f"needs more than {MAX_SEARCH_ENTRIES} subset-table entries"
-                if isinstance(exc, SearchLimitError) else
-                f"nests deeper than the recursion limit ({sys.getrecursionlimit()})")
         raise SearchLimitError(
-            f"{len(idx)} nonzero objects / {n} agents: the search {need}; "
-            f"root bracket {bracket}"
+            f"{len(idx)} nonzero objects / {n} agents: the search needs more than "
+            f"{MAX_SEARCH_ENTRIES} subset-table entries; root bracket {bracket}"
         ) from None
     bundles = [set() for _ in range(n)]
     for pos, b in enumerate(assign):

@@ -127,7 +127,13 @@ def mms_lower_bound(n: int, alpha, m: Optional[int] = None) -> Fraction:
 
 
 def guarantee(n: int, alpha) -> Fraction:
-    """Monotone cover of the unrestricted tight share: the best per-agent cap.
+    """Monotone cover of the unrestricted tight share (Hill's share).
+
+    `allocate` gives every agent a cost of at most this cap.  The paper
+    claims the cover is "the best guarantee that can be achieved in Hill's
+    model for all allocation instances"; no code here checks that.  At
+    n = 2, `allocate_two_agents_tight` meets Hill's share itself, which is
+    often below the cover (tested on every profile of two small lattices).
 
     Defined for integer n >= 1 and alpha in [0, 1]; guarantee(n, 0) = 1/n is
     the common limit of both branch formulas (an all-zero row's cap), and

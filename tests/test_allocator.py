@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -679,6 +680,28 @@ class TestTwoAgentTight:
     def test_rejects_wrong_n(self):
         with pytest.raises(ValidationError):
             allocate_two_agents_tight(inst_from_rows([1, 1], [1, 1], [1, 1]))
+
+    def test_lattice_profiles_meet_hill_share(self):
+        # every ordered pair of rows with entries in multiples of 1/d summing
+        # to 1, zeros included, over m objects: (d, m) = (6, 2..4) and
+        # (12, 2..3).  Each agent gets at most hill_share(2, alpha_i), the
+        # unrestricted-m share, and at alpha_i = 1 at most guarantee(2, 1)
+        profiles = below = 0
+        for d, m_max in ((6, 4), (12, 3)):
+            for m in range(2, m_max + 1):
+                rows = [DisutilityVector(tuple(F(x, d) for x in r), True)
+                        for r in product(range(d + 1), repeat=m) if sum(r) == d]
+                for pair in product(rows, repeat=2):
+                    alloc = allocate_two_agents_tight(Instance(pair))
+                    for row, bundle in zip(pair, alloc.bundles):
+                        a = row.alpha()
+                        cap = guarantee(2, a) if a == 1 else hill_share(2, a)
+                        assert row.value_of(bundle) <= cap, (pair, a)
+                        below += cap < guarantee(2, a)
+                    profiles += 1
+        # the profiles of each lattice, and the agent rows where Hill's
+        # share is a strictly smaller cap than the monotone cover
+        assert (profiles, below) == (7889 + 8450, 14498)
 
     def test_thirty_object_rows(self):
         # the divider's 30-object row needs a search, within the table budget

@@ -562,6 +562,19 @@ class TestFiveOrMoreBundles:
         assert reached >= 120
         assert slowest < 0.25
 
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_deeper_stacks_match_branch_and_bound(self, n):
+        # rows of n+1 to 18 objects: a search here stacks up to n - 1 frames
+        rng = random.Random(f"deeper:{n}")
+        reached = 0
+        for _ in range(150):
+            k = rng.choice((3, 5, 10, 1000))
+            v = vec(*(rng.randint(1, k) for _ in range(rng.randint(n + 1, 18))))
+            assert checked_value(v, n) == F(bnb_mms(v.ints, n), v.denom), (v.ints, n)
+            reached += searched(v, n)
+        # 32, 22, 17 and 10 rows search at n = 7..10
+        assert reached >= 10
+
 
 class TestLowerBound:
     """`_lower_bound` is a search-effort guard: it may end the search early,
