@@ -9,20 +9,22 @@ Every row goes to one search, sequential partitioning (after Schreiber, Korf
 incumbent meets the root lower bound, the largest of three (Dell'Amico &
 Martello, 1995): the largest object, the average load `ceil(total/n)`, and
 the pigeonhole count, by which some bundle holds k+1 of the kn+1 largest
-objects.  A seed that meets the bound, as for n = 1 or an empty row, is
+objects.  The bound is computed once per row and handed to the search as
+its floor.  A seed that meets it, as for n = 1 or an empty row, is
 returned at the search's first call.  Otherwise the bundle of the largest
 object is enumerated from the subset sums of two halves of the other
 objects (Horowitz & Sahni, 1974), heaviest first and within the sums that
 could beat the incumbent, and the rest is split into n-1 bundles the same
 way, down to two bundles, where the rest is the second bundle.  Each of
 these sub-searches is a generator frame on one explicit stack, so a search
-may nest n - 1 deep whatever the interpreter's recursion limit.  Above two
-bundles, only bundles that no remaining object fits into are split further
-(bin completion, Korf 2003), and a rest already proved not to beat a cutoff
-is not searched again.  Each half table keeps only the subsets that fit,
-with the largest object, under the incumbent at the call's start: no bundle
-the search may try or skip is above that line.  The effort budget still
-counts both tables in full.
+may nest n - 1 deep whatever the interpreter's recursion limit.  A
+sub-search stops at the larger of its own average load and its floor, the
+load of a bundle already placed.  Above two bundles, only bundles that no
+remaining object fits into are split further (bin completion, Korf 2003),
+and a rest already proved not to beat a cutoff is not searched again.  Each
+half table keeps only the subsets that fit, with the largest object, under
+the incumbent at the call's start: no bundle the search may try or skip is
+above that line.  The effort budget still counts both tables in full.
 """
 
 from __future__ import annotations
@@ -118,11 +120,15 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     descending.
 
     Returns an optimum, or the first partition found at or below the larger
-    of the lower bound and `floor`; a call whose incumbent is already there
-    returns it untouched, which settles every n = 1 or empty row.  A caller
-    may pass a `best` below the value of `assign` as a cutoff: a returned
-    value of at least `best` then says that no partition below it exists,
-    and its assignment is not used.
+    of the average load `ceil(total/n)` and `floor`; a call whose incumbent
+    is already there returns it untouched, which settles every n = 1 or
+    empty row.  The root passes `_lower_bound` as its floor; a sub-call
+    passes the load of the bundle it has placed, which holds a larger object
+    than any in the rest, so the floor covers the largest-object term.  A
+    caller may pass a `best` below the value of `assign` as a cutoff: a
+    returned value of at least `best` then says that no partition below it
+    exists, or that `floor` is already at `best`, and its assignment is not
+    used.
 
     The search runs as a stack of `_frame` generators, one per call: a frame
     yields the arguments of a sub-call, the loop pushes a frame for it, and
@@ -150,6 +156,12 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
 def _frame(items, n, best, assign, floor, failed, spent):
     """One call of `_sequential`, as a generator that yields each sub-call
     `(rest, n - 1, cutoff, None, floor)` and is sent its result.
+
+    The frame stops at `max(ceil(total/n), floor)`, the contract of
+    `_sequential`.  It keeps only the key of its best partition and, above
+    two bundles, the sub-call's split, and builds the assignment once, when
+    it returns (`_assignment`); a frame that finds nothing better returns
+    the `assign` it was given.
 
     Enumerates the bundle that holds items[0] from the half tables of
     items[1:], heaviest key first, keeping its sum within
@@ -188,11 +200,10 @@ def _frame(items, n, best, assign, floor, failed, spent):
     when the count passes `MAX_SEARCH_ENTRIES`; the cut changes what is
     built, not which searches are refused.
     """
-    m = len(items)
-    stop = max(_lower_bound(items, n), floor)
+    m, total = len(items), sum(items)
+    stop = max(-(-total // n), floor)
     if best <= stop:
         return best, assign
-    total = sum(items)
     h = (m + 1) // 2
     spent[0] += _table_entries(items, 1, h) + _table_entries(items, h, m)
     if spent[0] > MAX_SEARCH_ENTRIES:
@@ -203,10 +214,14 @@ def _frame(items, n, best, assign, floor, failed, spent):
     high = (best - items[0]) << m
     low = (total - items[0] - (n - 1) * (best - 1)) << m
     left, right = _subsets(items, 1, h, high), _subsets(items, h, m, high)
+    found = split = None
     for a in reversed(left):
         lo = bisect_left(right, low - a)
         if lo == len(right):
             break
+        # most windows are empty: one comparison, not a second bisect
+        if a + right[lo] >= high:
+            continue
         for j in range(bisect_left(right, high - a) - 1, lo - 1, -1):
             key = a + right[j]
             # best may have fallen to this key's load since the window was
@@ -237,32 +252,38 @@ def _frame(items, n, best, assign, floor, failed, spent):
                         failed[memo] = best
                     value = max(load, value)
             if value < best:
-                best = value
-                if n == 2:
-                    assign = [0 if key >> i & 1 else 1 for i in range(m)]
-                else:
-                    assign = [0] * m
-                    for k, i in enumerate(others):
-                        assign[i] = 1 + split[k]
+                best, found = value, (key, split)
                 if best <= stop:
-                    return best, assign
+                    return best, _assignment(m, *found)
                 high = (best - items[0]) << m
                 low = (total - items[0] - (n - 1) * (best - 1)) << m
-    return best, assign
+    return best, assign if found is None else _assignment(m, *found)
+
+
+def _assignment(m: int, key: int, split: list[int] | None) -> list[int]:
+    """The bundle of each of m objects in a frame's best partition: the
+    objects in `key`'s mask go to bundle 0, the others to bundle 1 (`split`
+    None, n = 2) or to 1 plus their bundle in the sub-call's `split`."""
+    assign = [0] * m
+    others = [i for i in range(m) if not key >> i & 1]
+    for k, i in enumerate(others):
+        assign[i] = 1 + split[k] if split else 1
+    return assign
 
 
 def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]:
     """Exact MinMaxShare value of v for n agents, plus one optimal allocation.
 
     Zero-disutility objects never affect the optimum; they are stripped before
-    the search and appended to the first bundle afterwards.  `_sequential`
-    searches from the greedy seed down to `_lower_bound` (the largest
-    object, the average load and the pigeonhole count); a seed that meets
-    the bound is returned at its first call, whatever the row's size.  A
-    search that would build more than `MAX_SEARCH_ENTRIES` subset-table
-    entries, its sub-calls included, raises `SearchLimitError` with that
-    root bracket.  A sub-call fixes one bundle, so a search may nest n - 1
-    calls deep; they run on an explicit stack, so that depth is no limit.
+    the search and appended to the first bundle afterwards.  `_lower_bound`
+    (the largest object, the average load and the pigeonhole count) is
+    computed once and passed as the floor, so `_sequential` searches from
+    the greedy seed down to it; a seed that meets the bound is returned at
+    its first call, whatever the row's size.  A search that would build
+    more than `MAX_SEARCH_ENTRIES` subset-table entries, its sub-calls
+    included, raises `SearchLimitError` with that root bracket.  A sub-call
+    fixes one bundle, so a search may nest n - 1 calls deep; they run on an
+    explicit stack, so that depth is no limit.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -272,11 +293,12 @@ def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]
     idx, zeros = order[:cut], order[cut:]
     items = [ints[j] for j in idx]
     opt, assign = _greedy_makespan(items, n)
+    lower = _lower_bound(items, n)
     try:
-        opt, assign = _sequential(items, n, opt, assign, 0)
+        opt, assign = _sequential(items, n, opt, assign, lower)
     except SearchLimitError:
         # a row built in Python may hold integers too long to print
-        bracket = (f"[{F(_lower_bound(items, n), denom)}, {F(opt, denom)}]"
+        bracket = (f"[{F(lower, denom)}, {F(opt, denom)}]"
                    if _printable(max(opt, denom)) else "too long to print")
         raise SearchLimitError(
             f"{len(idx)} nonzero objects / {n} agents: the search needs more than "

@@ -99,10 +99,15 @@ def lattice_mms(parts, n: int) -> int:
     largest first, each into every bundle of every state; a state whose
     largest load exceeds the `lpt_seed` value is dropped, since a partition
     that good exists.  The answer is the least largest load of a final
-    state.
+    state.  When the `lpt_seed` value already equals max(largest part,
+    ceil(total/n)), a bound no partition can beat, it is the answer and no
+    state is built.  That bound has no pigeonhole term, so the DP shares no
+    bound with the package's search.
     """
     parts = sorted(parts, reverse=True)
     bound = lpt_seed(parts, n)[0]
+    if bound == max(parts[:1] + [-(-sum(parts) // n)]):
+        return bound
     states = {(0,) * n}
     for w in parts:
         states = {tuple(sorted(loads[:b] + (loads[b] + w,) + loads[b + 1:]))

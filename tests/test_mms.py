@@ -146,6 +146,21 @@ class TestExactMMS:
             assert val == F(1176, n)
             assert max(v.value_of(b) for b in alloc.bundles) == val
 
+    def test_row_settled_by_the_pigeonhole_term_builds_no_table(self, monkeypatch):
+        # five 5s at n = 2: the average load is 13, but some bundle holds
+        # three of the objects, so the bound is 15, the greedy seed's value;
+        # only the root's floor carries that term into the search
+        def no_table(*_):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(mms, "_subsets", no_table)
+        items = [5] * 5
+        assert (_lower_bound(items, 2), -(-sum(items) // 2)) == (15, 13)
+        assert _greedy_makespan(items, 2)[0] == 15
+        val, alloc = minmax_partition(vec(*items), 2)
+        assert val == 15
+        assert max(len(b) for b in alloc.bundles) == 3
+
     def test_matches_naive_oracle(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -373,6 +388,47 @@ class TestSequentialCutoff:
                     break
             assert reached == 20
         assert above_bound >= 30
+
+
+class TestSequentialFloor:
+    """`_sequential(items, n, c, None, f)` with a floor f, the form of its
+    own sub-calls, whose floor is the load of a bundle already placed.  The
+    search may stop at the first partition at or below max(ceil(total/n),
+    f).  A value of at least c says that max(optimum, f) is at least c: no
+    partition has every bundle below c, or the floor is already there.  A
+    value below c is its assignment's largest bundle, and it is either the
+    optimum or at most max(ceil(total/n), f)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_floor_on_each_side_of_the_optimum(self, n):
+        rng = random.Random(f"floor:{n}")
+        makers = (
+            lambda m: [rng.randrange(1, 1000) for _ in range(m)],
+            lambda m: [rng.choice((2, 2, 3, 3, 5)) for _ in range(m)],
+            lambda m: [rng.choice((0, 0, 3, 4, 5, 6, 8)) for _ in range(m)],
+        )
+        early = 0
+        for make in makers:
+            for _ in range(60):
+                # sizes as in TestSequentialCutoff: naive_mms up to n = 4
+                lo, hi = (7, 9) if n == 5 else (1, 8 if n < 4 else 7)
+                items = sorted(make(rng.randint(lo, hi)), reverse=True)
+                opt = naive_mms(items, n) if n < 5 else bnb_mms(items, n)
+                average = -(-sum(items) // n)
+                for f in (0, opt - 1, opt, opt + 1):
+                    for c in (opt - 1, opt, opt + 1, opt + rng.randint(2, sum(items) + 2)):
+                        value, assign = _sequential(items, n, c, None, f)
+                        if value >= c:
+                            assert max(opt, f) >= c, (items, n, c, f)
+                            continue
+                        loads = [0] * n
+                        for w, b in zip(items, assign, strict=True):
+                            loads[b] += w
+                        assert value == max(loads), (items, n, c, f)
+                        assert value == opt or opt < value <= max(average, f), (items, n, c, f)
+                        early += value > opt
+        # the floor ends some searches above the optimum
+        assert early >= 10
 
 
 class TestCutTables:
