@@ -115,6 +115,10 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
 
     Each grid point is checked once, as hill_share checks it, and the three
     bounds are read from their integer pieces; every field is a Fraction.
+    A Fraction is built only for a value not already held: the upper and
+    lower values reuse alpha where they equal it (on the top interval
+    (2/(n+2), 1] both do), the lower value 1/n, the guarantee the upper
+    value, and the ratio one shared 1 where the two bounds meet.
     n < 2 and m < 2 are rejected outright; grid points outside a formula's
     domain (e.g. m < ceil(1/alpha)) are skipped with a warning.
     """
@@ -123,6 +127,7 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
     if m is not None and m < 2:
         raise DomainError("need an object count m >= 2")
     even = F(1, n) if isinstance(n, int) else None  # else every point is skipped
+    one = F(1)
     rows = []
     for a in grid:
         alpha = as_fraction(a)
@@ -134,9 +139,7 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
         _, un, ud, _, _ = _upper_piece(n, p, q, m)
         _, ln, ld, _, _ = _lower_piece(n, p, q, m)
         gn, gd = _guarantee_piece(n, p, q)
-        up = F(un, ud)
-        # reuse the Fractions already held: alpha, 1/n and, where the
-        # guarantee is the tight share itself, the upper value
+        up = alpha if un * q == ud * p else F(un, ud)
         if ln * q == ld * p:
             lo = alpha
         elif ln * n == ld:
@@ -144,7 +147,8 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
         else:
             lo = F(ln, ld)
         g = up if gn * ud == un * gd else F(gn, gd)
-        rows.append((alpha, up, lo, g, F(un * ld, ud * ln)))
+        r = one if un * ld == ud * ln else F(un * ld, ud * ln)
+        rows.append((alpha, up, lo, g, r))
     return rows
 
 

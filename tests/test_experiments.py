@@ -175,6 +175,23 @@ class TestCurveRowsFromPieces:
         assert all(type(x) is Fraction for row in rows for x in row)
         assert expected_warnings  # the grid's invalid points were skipped
 
+    def test_points_that_are_not_fractions(self):
+        """Text, float and int points are read by as_fraction: the rows are
+        the Fraction grid's, and a field that reuses the point holds the
+        Fraction read, never the caller's text or float."""
+        def run(grid):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rows = curve_samples(2, grid)
+            return rows, [str(w.message) for w in caught]
+
+        rows, skipped = run(["1/3", 0.35, "0.6", F(7, 20), 1, 2])
+        assert (rows, skipped) == run([F(1, 3), F(7, 20), F(3, 5), F(7, 20), F(1), F(2)])
+        assert [row[0] for row in rows] == [F(1, 3), F(7, 20), F(3, 5), F(7, 20)]
+        assert all(type(x) is Fraction for row in rows for x in row)
+        assert skipped == ["skipping alpha=1: alpha=1 outside (0, 1)",
+                           "skipping alpha=2: alpha=2 outside (0, 1)"]
+
     @pytest.mark.parametrize("n", [2.5, 3.0, F(3)])
     def test_non_integer_n_skips_every_point(self, n):
         with pytest.raises(ValueError) as exc:
