@@ -274,11 +274,11 @@ def _ratios(args: argparse.Namespace) -> None:
         raise DomainError("need an integer agent count n >= 2")
     records = []
     for i, row in enumerate(inst.profile, start=1):
-        alpha = row.alpha()
-        if 0 < alpha < 1:
+        # the share layer owns the domain: only its alpha check can refuse a row
+        try:
             records.append(instance_ratio(row, args.n))
-        else:
-            warnings.warn(f"skipping row {i}: alpha={alpha} outside (0, 1)")
+        except DomainError as exc:
+            warnings.warn(f"skipping row {i}: {exc}")
     _emit(records_csv(records, f"n={args.n} source={args.instance}"), args.out)
 
 

@@ -137,7 +137,8 @@ def guarantee(n: int, alpha) -> Fraction:
 
     Defined for integer n >= 1 and alpha in [0, 1]; guarantee(n, 0) = 1/n is
     the common limit of both branch formulas (an all-zero row's cap), and
-    guarantee(1, alpha) = guarantee(n, 1) = 1.
+    guarantee(n, 1) = 1.  guarantee(1, alpha) = 1 as well, not as a case of
+    its own: at n = 1 both pieces equal 1 (see _guarantee_piece).
     """
     alpha = as_fraction(alpha)
     if not isinstance(n, int) or n < 1:
@@ -151,9 +152,12 @@ def guarantee(n: int, alpha) -> Fraction:
 def _guarantee_piece(n: int, p: int, q: int) -> tuple[int, int]:
     """guarantee(n, p/q) as (num, den), for n >= 1 and 0 <= p <= q, p/q in
     any terms: the pieces are homogeneous in (p, q), so (c*p, c*q) gives a
-    pair of the same ratio.  p = 0 gives (1, n) whatever q is, 0 included."""
-    if n == 1:
-        return 1, 1
+    pair of the same ratio.  p = 0 gives (1, n) whatever q is, 0 included.
+
+    n = 1 needs no case of its own: k = (q - p) // p gives (k+1)p <= q, so
+    the NI piece is (k+2, k+2), and the IV piece is reached only when
+    (k+1)p == q and is ((k+1)p, q); both are 1.
+    """
     if p == 0:
         return 1, n
     k = _bracket_k(n, p, q)
@@ -170,10 +174,8 @@ def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
         raise DomainError(f"witness needs {length} objects, more than {MAX_WITNESS_OBJECTS}")
     # over q*b: a entries alpha = p*b/(q*b), b entries (1 - a*alpha)/b
     ints = [p * b] * a + [q - a * p] * b
-    if m is not None:
-        pad = m - len(ints)
-        assert pad >= 0, "construction larger than requested m"
-        ints += [0] * pad
+    assert len(ints) <= length, "construction larger than requested m"
+    ints += [0] * (length - len(ints))
     vec = DisutilityVector._of_view(ints, q * b, normalized=True)
     assert max(vec.ints) * q == p * vec.denom  # vec.alpha() == p/q
     return WitnessInstance(Instance((vec,)), F(num, den), tag)
