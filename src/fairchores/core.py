@@ -200,9 +200,34 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A partition of object indices [0, m) into n (possibly empty) bundles."""
+    """A partition of object indices [0, m) into n (possibly empty) bundles.
+
+    An allocation made by `_lazy(build)`, as `minmax_partition` makes its
+    own, holds only ``build`` and calls it on the first read of ``bundles``,
+    so a caller that reads only the value builds no bundles.  Before and
+    after that read, ``==``, ``hash``, ``repr``, ``n``, ``validate``,
+    `dataclasses.asdict`/`replace`, copying and pickling are those of an
+    allocation built with its bundles given.
+    """
 
     bundles: tuple[frozenset[int], ...]
+
+    @classmethod
+    def _lazy(cls, build) -> Allocation:
+        """An allocation whose bundles are ``build()``, called on first read."""
+        alloc = cls.__new__(cls)
+        alloc.__dict__["_build"] = build
+        return alloc
+
+    def __getattr__(self, name):
+        # reached only for a name the instance does not hold: the bundles of
+        # a lazy allocation before the first read, or a missing name
+        build = self.__dict__.get("_build")
+        if build is None or name != "bundles":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["bundles"] = bundles = build()
+        self.__dict__.pop("_build", None)
+        return bundles
 
     @property
     def n(self) -> int:

@@ -25,6 +25,13 @@ and a rest already proved not to beat a cutoff is not searched again.  Each
 half table keeps only the subsets that fit, with the largest object, under
 the incumbent at the call's start: no bundle the search may try or skip is
 above that line.  The effort budget still counts both tables in full.
+
+Each caller gets only what it reads.  `minmax_partition` decodes its
+allocation from the search's assignment on the first read of its bundles,
+so `exact_mms`, which reads only the value, builds no bundles.
+`fits_under` asks only whether a partition at or below its threshold
+exists: the seed or the root bound may answer it, and otherwise the search
+stops at the first such partition.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 from .core import Allocation, DisutilityVector, ValidationError, _printable, as_fraction
@@ -271,54 +279,97 @@ def _assignment(m: int, key: int, split: list[int] | None) -> list[int]:
     return assign
 
 
-def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]:
-    """Exact MinMaxShare value of v for n agents, plus one optimal allocation.
+def _root(v: DisutilityVector, n: int, search):
+    """`search(items, n, seed, assign, lower)` on v's nonzero integers,
+    descending, with the greedy seed's value and assignment and the root
+    bound `_lower_bound`; its result, or the one refusal text.
 
-    Zero-disutility objects never affect the optimum; they are stripped before
-    the search and appended to the first bundle afterwards.  `_lower_bound`
-    (the largest object, the average load and the pigeonhole count) is
-    computed once and passed as the floor, so `_sequential` searches from
-    the greedy seed down to it; a seed that meets the bound is returned at
-    its first call, whatever the row's size.  A search that would build
-    more than `MAX_SEARCH_ENTRIES` subset-table entries, its sub-calls
-    included, raises `SearchLimitError` with that root bracket.  A sub-call
-    fixes one bundle, so a search may nest n - 1 calls deep; they run on an
-    explicit stack, so that depth is no limit.
+    Zero-disutility objects never affect the optimum, so they are cut before
+    the search.  A search that would build more than `MAX_SEARCH_ENTRIES`
+    subset-table entries, its sub-calls included, raises `SearchLimitError`
+    with the root bracket [lower, seed].
     """
     if n < 1:
         raise ValidationError("need n >= 1")
-    ints, denom = v.ints, v.denom
-    order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
-    cut = len(ints) - ints.count(0)
-    idx, zeros = order[:cut], order[cut:]
-    items = [ints[j] for j in idx]
-    opt, assign = _greedy_makespan(items, n)
+    ints = v.ints
+    items = sorted(ints, reverse=True)
+    del items[len(ints) - ints.count(0):]
+    seed, assign = _greedy_makespan(items, n)
     lower = _lower_bound(items, n)
     try:
-        opt, assign = _sequential(items, n, opt, assign, lower)
+        return search(items, n, seed, assign, lower)
     except SearchLimitError:
         # a row built in Python may hold integers too long to print
-        bracket = (f"[{F(lower, denom)}, {F(opt, denom)}]"
-                   if _printable(max(opt, denom)) else "too long to print")
+        denom = v.denom
+        bracket = (f"[{F(lower, denom)}, {F(seed, denom)}]"
+                   if _printable(max(seed, denom)) else "too long to print")
         raise SearchLimitError(
-            f"{len(idx)} nonzero objects / {n} agents: the search needs more than "
+            f"{len(items)} nonzero objects / {n} agents: the search needs more than "
             f"{MAX_SEARCH_ENTRIES} subset-table entries; root bracket {bracket}"
         ) from None
+
+
+def _bundles(ints: tuple[int, ...], n: int, assign: list[int]) -> tuple[frozenset[int], ...]:
+    """The bundles of the search's assignment: the objects in the search's
+    order (descending, ties by index), the nonzero ones to their bundles in
+    `assign` and the zeros to the first bundle."""
+    order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
+    cut = len(ints) - ints.count(0)
     bundles = [set() for _ in range(n)]
     for pos, b in enumerate(assign):
-        bundles[b].add(idx[pos])
-    bundles[0].update(zeros)
-    return F(opt, denom), Allocation(tuple([frozenset(b) for b in bundles]))
+        bundles[b].add(order[pos])
+    bundles[0].update(order[cut:])
+    return tuple([frozenset(b) for b in bundles])
+
+
+def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]:
+    """Exact MinMaxShare value of v for n agents, plus one optimal allocation.
+
+    Zero-disutility objects go to the first bundle.  `_sequential` searches
+    from the greedy seed down to `_lower_bound` (the largest object, the
+    average load and the pigeonhole count), computed once and passed as the
+    floor; a seed that meets the bound is returned at its first call,
+    whatever the row's size.  A sub-call fixes one bundle, so a search may
+    nest n - 1 calls deep; they run on an explicit stack, so that depth is
+    no limit.  The refusal is `_root`'s.
+
+    The allocation is decoded from the search's assignment on the first
+    read of its bundles (`Allocation._lazy`, `_bundles`), so a caller that
+    reads only the value, as `exact_mms` does, builds no bundles.
+    """
+    opt, assign = _root(v, n, _sequential)
+    return F(opt, v.denom), Allocation._lazy(partial(_bundles, v.ints, n, assign))
 
 
 def exact_mms(v: DisutilityVector, n: int) -> Fraction:
-    """min over n-partitions of the max bundle disutility, exactly."""
+    """min over n-partitions of the max bundle disutility, exactly.
+
+    The value of `minmax_partition`; its allocation is never read, so never
+    built."""
     return minmax_partition(v, n)[0]
 
 
 def fits_under(v: DisutilityVector, n: int, threshold) -> bool:
-    """True iff some n-partition keeps every bundle at or below threshold."""
-    return exact_mms(v, n) <= as_fraction(threshold)
+    """True iff some n-partition keeps every bundle at or below threshold.
+
+    A decision search on the row's integers, where the threshold is `cap`,
+    the largest numerator over `denom` at or below it.  The answer is True
+    when the greedy seed is at or below cap and False when the root bound is
+    above it; otherwise `_sequential` searches with cap + 1 as its cutoff
+    and cap as its floor (the root bound is at or below it), and stops at
+    the first partition at or below cap.  It refuses as `minmax_partition`
+    does.
+    """
+    def decide(items, n, seed, assign, lower):
+        t = as_fraction(threshold)
+        cap = t.numerator * v.denom // t.denominator
+        if seed <= cap:
+            return True
+        if lower > cap:
+            return False
+        return _sequential(items, n, cap + 1, None, cap)[0] <= cap
+
+    return _root(v, n, decide)
 
 
 def _growth_strings(m: int, n: int):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 import time
@@ -8,8 +11,9 @@ from itertools import combinations, product
 import pytest
 
 from fairchores import mms
+from fairchores.cli import main
 from fairchores.core import Allocation, DisutilityVector, ValidationError
-from fairchores.experiments import gen_synthetic
+from fairchores.experiments import gen_synthetic, instance_ratio
 from fairchores.mms import (
     SearchLimitError,
     _greedy_makespan,
@@ -684,6 +688,132 @@ class TestFitsUnder:
         v = vec("7/20", "7/20", "3/10")
         assert exact_mms(v, 3) == F(7, 20)
         assert fits_under(v, 3, 0.35)
+
+
+    def test_matches_exact_mms_around_the_optimum(self):
+        # the decision search against the value, at the optimum, one step
+        # below it and halfway between the root bound and the greedy seed
+        for n, v in lazy_rows():
+            opt = exact_mms(v, n)
+            items = sorted((x for x in v.ints if x > 0), reverse=True)
+            seed, lower = _greedy_makespan(items, n)[0], _lower_bound(items, n)
+            step = F(1, v.denom)
+            for t in (opt, opt - step, F(seed + lower, 2 * v.denom), F(lower, v.denom) - step):
+                assert fits_under(v, n, t) == (opt <= t), (n, v.ints, t)
+
+    def test_stops_at_the_first_partition_under_the_threshold(self, monkeypatch):
+        # within a budget that the exact search passes on its way down, the
+        # decision search stops at the first partition below the greedy seed
+        monkeypatch.setattr(mms, "MAX_SEARCH_ENTRIES", 800)
+        v = gen_synthetic(16, random.Random("histogram:1:1"))
+        with pytest.raises(SearchLimitError):
+            minmax_partition(v, 3)
+        items = sorted((x for x in v.ints if x > 0), reverse=True)
+        assert fits_under(v, 3, F(_greedy_makespan(items, 3)[0] - 1, v.denom))
+
+    def test_refuses_with_the_text_of_minmax_partition(self, monkeypatch):
+        monkeypatch.setattr(mms, "MAX_SEARCH_ENTRIES", 10)
+        v = gen_synthetic(16, random.Random("histogram:1:1"))
+        assert searched(v, 3)
+        with pytest.raises(SearchLimitError) as exact:
+            minmax_partition(v, 3)
+        items = sorted(v.ints, reverse=True)
+        cap = F(_lower_bound(items, 3), v.denom)
+        with pytest.raises(SearchLimitError) as decision:
+            fits_under(v, 3, cap)
+        assert str(decision.value) == str(exact.value)
+
+
+def lazy_rows():
+    """(n, row) pairs: seeded `histogram` rows, witness rows, an all-zero
+    row, an empty row, n = 1, n > m and tie-heavy rows."""
+    shapes = ((2, 18), (3, 16), (4, 16), (6, 16))
+    for i in range(12):
+        n, m = shapes[i % len(shapes)]
+        yield n, gen_synthetic(m, random.Random(f"histogram:1:{i}"))
+    for n, a, m in ((2, F(3, 11), 7), (3, F(3, 10), 7), (4, F(1, 9), None), (5, F(2, 13), 12)):
+        yield n, witness_upper(n, a, m).vector
+        yield n, witness_lower(n, a, m).vector
+    yield 3, vec(0, 0, 0)
+    yield 2, DisutilityVector(())
+    yield 1, vec("1/2", "1/4", 0, "1/4")
+    yield 7, vec("1/2", 0, "1/3", "1/6")
+    rng = random.Random("ties")
+    for n in (2, 3, 5):
+        yield n, vec(*(7 * rng.randint(1, 3) for _ in range(12)))
+    yield 4, vec(*([1] * 10 + [2] * 5))
+
+
+class TestLazyAllocation:
+    """`minmax_partition`'s allocation is decoded on the first read of its
+    bundles, and is then, and before, one built with its bundles given."""
+
+    @pytest.mark.parametrize("n, v", list(lazy_rows()))
+    def test_unread_allocation_is_the_eager_one(self, n, v):
+        def fresh():
+            alloc = minmax_partition(v, n)[1]
+            assert "bundles" not in vars(alloc)
+            return alloc
+
+        eager = Allocation(fresh().bundles)
+        assert fresh() == eager and eager == fresh()
+        assert hash(fresh()) == hash(eager)
+        assert repr(fresh()) == repr(eager)
+        assert fresh().n == eager.n == n
+        assert fresh().validate(v.m) is None
+        with pytest.raises(ValidationError, match="cover"):
+            fresh().validate(v.m + 1)
+        assert dataclasses.asdict(fresh()) == dataclasses.asdict(eager)
+        assert dataclasses.replace(fresh()) == eager
+        assert dataclasses.replace(fresh(), bundles=()) == Allocation(())
+        for made in (copy.copy(fresh()), copy.deepcopy(fresh()),
+                     pickle.loads(pickle.dumps(fresh()))):
+            assert made == eager and repr(made) == repr(eager)
+            assert vars(made) == vars(eager)
+        read = fresh()
+        assert read.bundles == eager.bundles
+        assert vars(read) == vars(eager)
+
+    def test_unknown_attribute_raises_the_standard_error(self):
+        v = vec("3/10", "1/4", "1/4", "1/5")
+        text = "'Allocation' object has no attribute 'load'"
+        for alloc in (minmax_partition(v, 2)[1], Allocation((frozenset(range(4)),))):
+            with pytest.raises(AttributeError) as exc:
+                alloc.load
+            assert str(exc.value) == text
+        alloc = minmax_partition(v, 2)[1]
+        with pytest.raises(AttributeError):
+            alloc.load
+        assert alloc.n == 2 and "_build" not in vars(alloc)
+
+
+class TestOnlyTheValueIsBuilt:
+    """Callers that read only the value never decode an allocation."""
+
+    @pytest.fixture
+    def no_decode(self, monkeypatch):
+        def decode(*_):
+            raise AssertionError("an allocation was decoded")
+
+        monkeypatch.setattr(mms, "_bundles", decode)
+
+    def test_value_readers_build_no_bundles(self, no_decode):
+        for n, v in lazy_rows():
+            opt = exact_mms(v, n)
+            assert fits_under(v, n, opt)
+            if v.normalized and v.m:
+                assert instance_ratio(v, n).mms == opt
+            with pytest.raises(AssertionError, match="decoded"):
+                minmax_partition(v, n)[1].bundles
+
+    def test_cli_mms_builds_no_bundles(self, no_decode, tmp_path, capsys):
+        v = gen_synthetic(16, random.Random("histogram:1:1"))
+        assert searched(v, 3)
+        row = tmp_path / "row.csv"
+        header = ",".join(f"object_{j + 1}" for j in range(v.m))
+        row.write_text(header + "\n" + ",".join(str(x) for x in v.values) + "\n")
+        assert main(["mms", "--instance", str(row), "--n", "3"]) == 0
+        assert capsys.readouterr().out.startswith(f"{exact_mms(v, 3)} (")
 
 
 class TestLexMinMax:
