@@ -4,7 +4,10 @@ interval-region classification.
 All quantities are `fractions.Fraction`; no share or region boundary is ever
 decided in floating point.  A region is decided on integers: `_bracket` reads
 alpha's numerator p and denominator q, and every bracket and split test is a
-cross-multiplication of p and q, so no `Fraction` is built to classify.
+cross-multiplication of p and q, so no `Fraction` is built to classify.  The
+D/I split (`_i_start`) and the guarantee's per-bracket record
+(`_guarantee_pieces`, which holds the NI/IV split) are defined here once;
+the classifiers and the share functions both read them.
 Disutility profiles are normalised so that each agent's total is exactly 1
 (rows whose original total is 0 are kept as flagged all-zero rows).  A row
 is stored as integers over its least common denominator
@@ -305,14 +308,27 @@ def _bracket(n: int, alpha) -> tuple[int, int, int]:
     return _bracket_k(n, p, q), p, q
 
 
-def _in_d(n: int, k: int, p: int, q: int) -> bool:
-    """Whether p/q in bracket k lies in D(n,k), not I(n,k): p/q <= (k+2)/(n(k+1)^2+k+2)."""
-    return p * (n * (k + 1) ** 2 + k + 2) <= q * (k + 2)
+def _i_start(n: int, k: int) -> tuple[int, int, int]:
+    """Where I(n,k) starts, as a start triple (see _at_or_past): just above
+    (k+2)/(n(k+1)^2+k+2), the right end of D(n,k), which D holds."""
+    return k + 2, n * (k + 1) ** 2 + k + 2, 1
 
 
-def _in_ni(n: int, k: int, p: int, q: int) -> bool:
-    """Whether p/q in bracket k lies in NI(n,k), not IV(n,k): p/q < (k+2)/((k+1)((k+1)n+1))."""
-    return p * (k + 1) * ((k + 1) * n + 1) < q * (k + 2)
+def _guarantee_pieces(n: int, k: int) -> tuple[int, int, int, int, int, int]:
+    """The guarantee's record for bracket k, (num, den, strict, c_num,
+    c_den, c): IV(n,k) begins at the start triple (num, den, strict), at
+    (k+2)/((k+1)((k+1)n+1)), which it holds, and its value is c*alpha;
+    NI(n,k) lies below it, with the constant value c_num/c_den.  A flat
+    record, since the moving knife reads it once per agent per level."""
+    b = (k + 1) * n + 1
+    return k + 2, (k + 1) * b, 0, k + 2, b, k + 1
+
+
+def _at_or_past(p: int, q: int, start: tuple[int, int, int]) -> bool:
+    """Whether p/q lies in the piece that begins at the start triple
+    (num, den, strict): past num/den, or at it too when strict is 0."""
+    num, den, strict = start
+    return p * den - q * num >= strict
 
 
 def classify_theorem1(n: int, alpha) -> RegionIndex:
@@ -322,7 +338,7 @@ def classify_theorem1(n: int, alpha) -> RegionIndex:
     I(n,k) = ((k+2)/(n(k+1)^2+k+2), 1/(kn+1)].
     """
     k, p, q = _bracket(n, alpha)
-    return RegionIndex(k, "D" if _in_d(n, k, p, q) else "I")
+    return RegionIndex(k, "I" if _at_or_past(p, q, _i_start(n, k)) else "D")
 
 
 def classify_guarantee(n: int, alpha) -> RegionIndex:
@@ -332,7 +348,7 @@ def classify_guarantee(n: int, alpha) -> RegionIndex:
     IV(n,k) = [(k+2)/((k+1)((k+1)n+1)), 1/(kn+1)]  (closed on the left).
     """
     k, p, q = _bracket(n, alpha)
-    return RegionIndex(k, "NI" if _in_ni(n, k, p, q) else "IV")
+    return RegionIndex(k, "IV" if _at_or_past(p, q, _guarantee_pieces(n, k)[:3]) else "NI")
 
 
 def ceil_inv(alpha: Fraction) -> int:

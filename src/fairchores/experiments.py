@@ -3,7 +3,9 @@ and theoretical-curve data.
 
 All ratio arithmetic is exact: synthetic draws live on a common denominator
 of 10**9, so segment lengths sum to exactly 1 and the integer MMS solver
-applies directly.
+applies directly.  The share curves sweep their grid over the bounds' piece
+records (see shares): `curve_samples` builds each bracket's records once per
+call, and each point takes its three pieces from them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,16 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DisutilityVector, DomainError, ValidationError, as_fraction, format_decimal
+from .core import (
+    DisutilityVector,
+    DomainError,
+    ValidationError,
+    _guarantee_pieces,
+    as_fraction,
+    format_decimal,
+)
 from .mms import exact_mms
-from .shares import _guarantee_piece, _lower_piece, _upper_piece, _validate, hill_share
+from .shares import _lower_pieces, _upper_pieces, _validate, hill_share
 
 F = Fraction
 GRID = 10 ** 9  # common denominator for synthetic draws
@@ -110,43 +119,92 @@ def run_histogram(cfg: ExperimentConfig) -> RatioHistogram:
     return RatioHistogram(tuple(records))
 
 
+def _curve_record(n: int, k: int, m, constants: dict) -> tuple:
+    """What curve_samples reads for bracket k: the start triple of the top
+    range where every bound is alpha itself; the upper and lower pieces as
+    (start_num, start_den, strict, x, y, z, c), with c the constant x/y's
+    Fraction or None; and the guarantee's IV start, IV coefficient and NI
+    constant's Fraction.  Constant Fractions are kept in ``constants``, one
+    per value."""
+    def shared(x, y):
+        c = constants.get((x, y))
+        if c is None:
+            c = constants[x, y] = F(x, y)
+        return c
+
+    families = (_upper_pieces(n, k, m), _lower_pieces(n, k, m))
+    gsn, gsd, gstrict, cn, cd, c = _guarantee_pieces(n, k)
+    tops = [pieces[0] for pieces in families]
+    start = (1, 0, 1)  # past 1/0: no point, unless every top piece is alpha
+    if c == 1 and all(z and x == z and not y for _, _, _, _, x, y, z, *_ in tops):
+        start = max([top[:3] for top in tops] + [(gsn, gsd, gstrict)],
+                    key=lambda s: (F(s[0], s[1]), s[2]))
+    ups, los = ([(sn, sd, strict, x, y, z, None if z else shared(x, y))
+                 for sn, sd, strict, _, x, y, z, *_ in pieces] for pieces in families)
+    return (*start, ups, los, gsn, gsd, gstrict, c, shared(cn, cd))
+
+
 def curve_samples(n: int, grid, m=None) -> list[tuple]:
     """Rows (alpha, delta_upper, delta_lower, guarantee, ratio) for plotting.
 
-    Each grid point is checked once, as hill_share checks it, and the three
-    bounds are read from their integer pieces; every field is a Fraction.
-    A Fraction is built only for a value not already held: the upper and
-    lower values reuse alpha where they equal it (on the top interval
-    (2/(n+2), 1] both do), the lower value 1/n, the guarantee the upper
-    value, and the ratio one shared 1 where the two bounds meet.
-    n < 2 and m < 2 are rejected outright; grid points outside a formula's
-    domain (e.g. m < ceil(1/alpha)) are skipped with a warning.
+    n and m are checked once per call: n < 2 and m < 2 are rejected
+    outright, and a grid point outside a formula's domain (e.g.
+    m < ceil(1/alpha)) is skipped with a warning that carries the text
+    hill_share would raise for it.  Each point's bracket k is one integer
+    division of its p and q.  The first point in a bracket builds the
+    bracket's three piece records (shares._upper_pieces and _lower_pieces,
+    core._guarantee_pieces), kept for this call only; every point takes from
+    each record the piece that holds it and evaluates the piece's integer
+    form.  Every field is a Fraction, and one is built only for a value not
+    already held: on the top range where every piece is alpha itself (in
+    bracket 0, from 2/(n+1) on) a row is (alpha, alpha, alpha, alpha, 1);
+    elsewhere the upper and lower values reuse alpha where they equal
+    it, a constant piece (1/n, the guarantee's NI piece) gives one Fraction
+    per call, the guarantee reuses the upper value, and the ratio one
+    shared 1 where the two bounds meet.
     """
     if n < 2:
         raise DomainError("need an integer agent count n >= 2")
     if m is not None and m < 2:
         raise DomainError("need an object count m >= 2")
-    even = F(1, n) if isinstance(n, int) else None  # else every point is skipped
+    # when n or m is no integer, _validate rejects every point, with its text
+    checked = isinstance(n, int) and (m is None or isinstance(m, int))
     one = F(1)
+    constants: dict[tuple[int, int], Fraction] = {}
+    brackets = {}
     rows = []
     for a in grid:
         alpha = as_fraction(a)
-        try:
-            p, q = _validate(n, alpha, m)
-        except ValueError as exc:
-            warnings.warn(f"skipping alpha={alpha}: {exc}")
+        p, q = alpha.numerator, alpha.denominator
+        if not (checked and 0 < p < q and (m is None or m * p >= q)):
+            try:
+                _validate(n, alpha, m)
+            except ValueError as exc:
+                warnings.warn(f"skipping alpha={alpha}: {exc}")
+                continue
+        k = (q - p) // (n * p)  # core._bracket_k
+        record = brackets.get(k)
+        if record is None:
+            record = brackets[k] = _curve_record(n, k, m, constants)
+        sn, sd, strict, ups, los, gsn, gsd, gstrict, gc, g = record
+        if p * sd - q * sn >= strict:
+            rows.append((alpha, alpha, alpha, alpha, one))
             continue
-        _, un, ud, _, _ = _upper_piece(n, p, q, m)
-        _, ln, ld, _, _ = _lower_piece(n, p, q, m)
-        gn, gd = _guarantee_piece(n, p, q)
-        up = alpha if un * q == ud * p else F(un, ud)
-        if ln * q == ld * p:
-            lo = alpha
-        elif ln * n == ld:
-            lo = even
-        else:
-            lo = F(ln, ld)
-        g = up if gn * ud == un * gd else F(gn, gd)
+        for sn, sd, strict, un, ud, uz, up in ups:
+            if p * sd - q * sn >= strict:
+                break
+        if uz:
+            un, ud = un * p + ud * q, uz * q
+            up = alpha if un * q == ud * p else F(un, ud)
+        for sn, sd, strict, ln, ld, lz, lo in los:
+            if p * sd - q * sn >= strict:
+                break
+        if lz:
+            ln, ld = ln * p + ld * q, lz * q
+            lo = alpha if ln * q == ld * p else F(ln, ld)
+        if p * gsd - q * gsn >= gstrict:  # IV: c * alpha; else NI's constant
+            gn = gc * p
+            g = up if gn * ud == un * q else F(gn, q)
         r = one if un * ld == ud * ln else F(un * ld, ud * ln)
         rows.append((alpha, up, lo, g, r))
     return rows

@@ -4,9 +4,16 @@ guarantee, and the witness instances certifying that the bounds are tight.
 ``m=None`` everywhere means "number of objects unrestricted".  All values are
 exact Fractions; a finite-m query must satisfy m >= ceil(1/alpha), otherwise
 the class of normalised vectors with max entry alpha is empty and the query
-is rejected.  Each piece of a bound gives its witness as two integers (a, b):
-a objects at alpha, the remainder 1 - a*alpha split evenly over b objects,
-and zeros up to m.
+is rejected.
+
+Each bound's pieces are data: for every bracket k (see core._bracket_k) a
+record lists the bound's pieces in the bracket, each with its start, its
+value as an integer form in alpha = p/q, and its witness as two integers
+(a, b): a objects at alpha, the remainder 1 - a*alpha split evenly over b
+objects, and zeros up to m.  A share function finds alpha's bracket with
+one integer division and takes from the bracket's record the piece that
+holds alpha; `experiments.curve_samples` sweeps a grid over the same
+records, building each bracket's once per call.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from .core import (
     DomainError,
     Instance,
     _bracket_k,
-    _in_d,
-    _in_ni,
+    _guarantee_pieces,
+    _i_start,
     _unit_alpha,
     as_fraction,
 )
@@ -63,50 +70,88 @@ def _validate(n: int, alpha, m: Optional[int]) -> tuple[int, int]:
     return p, q
 
 
-# Each piece below returns (construction tag, num, den, a, b) for alpha = p/q:
-# the bound's value is num/den, and (q - 1) // p, the most objects at alpha
-# that leave a positive remainder, is ceil(1/alpha) - 1.
+# The upper and lower bounds' records for bracket k (see core._bracket_k)
+# list the bound's pieces in the bracket, the highest first.  A piece is the
+# tuple (start_num, start_den, strict, tag, x, y, z, a, b): it begins at the
+# start triple (start_num, start_den, strict) (see core._at_or_past) and
+# ends where the piece above begins, or at the top 1/(kn+1), which it holds;
+# the last piece begins at the bottom 1/((k+1)n+1), open.  Its value at
+# alpha = p/q is (x*p + y*q)/(z*q), or the constant x/y when z is 0.  Its
+# witness is a objects at alpha, a = None meaning (q - 1) // p, the most
+# that leave a positive remainder, and b objects sharing that remainder.
+# The guarantee's record is core._guarantee_pieces.
 
-def _upper_piece(n: int, p: int, q: int, m: Optional[int]) -> tuple[str, int, int, int, int]:
-    """The tight upper bound's piece at alpha = p/q.
-
-    The single branch tree of the bound: hill_share reads the value and
-    witness_upper builds the vector from a and b (see _witness).
-    """
-    k = _bracket_k(n, p, q)
+def _upper_pieces(n: int, k: int, m: Optional[int]) -> tuple[tuple, ...]:
+    """The tight upper bound's record for bracket k: the single branch tree
+    of the bound, which hill_share, witness_upper and curve_samples read."""
     if n == 2 and k == 1:
         # three-step piece on (1/5, 1/3]; m < 6 cuts it short
         if m == 3:  # feasibility forces alpha = 1/3
-            return "two-agent-m3", 2, 3, (q - 1) // p, 1
+            return ((1, 5, 1, "two-agent-m3", 2, 3, 0, None, 1),)
         if m == 4:
-            return "two-agent-m4", 2 * p, q, (q - 1) // p, 1
-        low_num, low_den = (3, 11) if m == 5 else (7, 27)
-        if p * low_den <= q * low_num:  # alpha <= 3/11 (m = 5) or 7/27
-            return "two-agent-low", 3 * (q - p), 4 * q, 1, 4
-        if m == 5 or 7 * p > 2 * q:  # alpha > 2/7
-            return "two-agent-high", 2 * p, q, 3, 1
-        return "two-agent-mid", 3 * p + 2 * q, 5 * q, 1, 5
-    in_d = _in_d(n, k, p, q)
-    if in_d and (m is None or m >= k * n + n + 1):
-        return "one-heavy-balanced", (k + 2) * (q - p), (k + 1) * n * q, 1, n * (k + 1)
-    # restricted-m D branch and every I branch
-    if not in_d and m is None:
-        return "alpha-heavy", (k + 1) * p, q, k * n + 1, n - 1
-    return "alpha-block", (k + 1) * p, q, (q - 1) // p, 1
+            return ((1, 5, 1, "two-agent-m4", 2, 0, 1, None, 1),)
+        low = (1, 5, 1, "two-agent-low", -3, 3, 4, 1, 4)
+        if m == 5:
+            return ((3, 11, 1, "two-agent-high", 2, 0, 1, 3, 1), low)
+        return ((2, 7, 1, "two-agent-high", 2, 0, 1, 3, 1),
+                (7, 27, 1, "two-agent-mid", 3, 2, 5, 1, 5), low)
+    # I(n,k) above D(n,k); restricted m gives alpha-block on the I piece
+    # and on a D piece too short for the balanced witness
+    i_num, i_den, i_strict = _i_start(n, k)
+    if m is None:
+        i = (i_num, i_den, i_strict, "alpha-heavy", k + 1, 0, 1, k * n + 1, n - 1)
+    else:
+        i = (i_num, i_den, i_strict, "alpha-block", k + 1, 0, 1, None, 1)
+    b = (k + 1) * n  # the balanced witness's objects besides alpha
+    if m is None or m > b:
+        d = (1, b + 1, 1, "one-heavy-balanced", -(k + 2), k + 2, b, 1, b)
+    else:
+        d = (1, b + 1, 1, "alpha-block", k + 1, 0, 1, None, 1)
+    return i, d
+
+
+def _lower_pieces(n: int, k: int, m: Optional[int]) -> tuple[tuple, ...]:
+    """The best-case bound's record for bracket k.  Its own index
+    j = floor(1/(n alpha)) is k above 1/((k+1)n) and k+1 at and below it.
+    Strictly between 1/((j+1)n) and 1/(jn), jn objects sit at alpha and
+    the remainder 1 - jn*alpha is spread over n objects, or over the
+    r = m - jn that a shorter m leaves."""
+    split = (k + 1) * n
+    if k == 0:
+        top = (1, split, 1, "singleton-cover", 1, 0, 1, None, 1)
+    elif m is None or m >= split:
+        top = (1, split, 1, "even-split-remainders", 1, n, 0, split - n, n)
+    else:
+        r = m - split + n
+        top = (1, split, 1, "tight-remainders", k * (r - n), 1, r, split - n, r)
+    if m is None or m >= split + n:
+        bottom = (1, split + 1, 1, "even-split-remainders", 1, n, 0, split, n)
+    else:
+        r = m - split
+        bottom = (1, split + 1, 1, "tight-remainders", (k + 1) * (r - n), 1, r, split, r)
+    return top, (1, split, 0, "even-split", 1, n, 0, split - 1, 1), bottom
+
+
+def _piece_at(pieces: tuple[tuple, ...], p: int, q: int) -> tuple[str, int, int, int, int]:
+    """(construction tag, num, den, a, b) of the piece of a record that
+    holds alpha = p/q: the bound's value is num/den, and the witness is a
+    objects at alpha and b sharing the remainder (see _witness)."""
+    for sn, sd, strict, tag, x, y, z, a, b in pieces:
+        if p * sd - q * sn >= strict:
+            if z:
+                x, y = x * p + y * q, z * q
+            return tag, x, y, (q - 1) // p if a is None else a, b
+    raise AssertionError(f"{p}/{q} below the record's bracket")
+
+
+def _upper_piece(n: int, p: int, q: int, m: Optional[int]) -> tuple[str, int, int, int, int]:
+    """The tight upper bound's piece at alpha = p/q."""
+    return _piece_at(_upper_pieces(n, _bracket_k(n, p, q), m), p, q)
 
 
 def _lower_piece(n: int, p: int, q: int, m: Optional[int]) -> tuple[str, int, int, int, int]:
-    """The best-case bound's piece at alpha = p/q; k = floor(1/(n alpha))."""
-    if n * p > q:
-        return "singleton-cover", p, q, (q - 1) // p, 1
-    k = q // (n * p)
-    if k * n * p == q:
-        return "even-split", 1, n, k * n - 1, 1
-    # 1/((k+1)n) < alpha < 1/(kn)
-    if m is None or m >= k * n + n:
-        return "even-split-remainders", 1, n, k * n, n
-    r = m - k * n  # objects sharing the remainder 1 - kn*alpha
-    return "tight-remainders", k * p * r + q - k * n * p, q * r, k * n, r
+    """The best-case bound's piece at alpha = p/q."""
+    return _piece_at(_lower_pieces(n, _bracket_k(n, p, q), m), p, q)
 
 
 def hill_share(n: int, alpha, m: Optional[int] = None) -> Fraction:
@@ -131,9 +176,14 @@ def guarantee(n: int, alpha) -> Fraction:
 
     `allocate` gives every agent a cost of at most this cap.  The paper
     claims the cover is "the best guarantee that can be achieved in Hill's
-    model for all allocation instances"; no code here checks that.  At
-    n = 2, `allocate_two_agents_tight` meets Hill's share itself, which is
-    often below the cover (tested on every profile of two small lattices).
+    model for all allocation instances".  The tests check it with alpha
+    read as an upper bound on every bad: where the cover lies above Hill's
+    share, the upper witness at a piece start beta* <= alpha of alpha's
+    bracket has every entry at most alpha and exact MinMaxShare equal to
+    the cover, so n agents who all hold that row cannot all pay less.  Read
+    with alpha as the worst bad's exact size, the claim fails at n = 2:
+    `allocate_two_agents_tight` meets Hill's share itself, which is often
+    below the cover (tested on every profile of two small lattices).
 
     Defined for integer n >= 1 and alpha in [0, 1]; guarantee(n, 0) = 1/n is
     the common limit of both branch formulas (an all-zero row's cap), and
@@ -160,10 +210,8 @@ def _guarantee_piece(n: int, p: int, q: int) -> tuple[int, int]:
     """
     if p == 0:
         return 1, n
-    k = _bracket_k(n, p, q)
-    if _in_ni(n, k, p, q):
-        return k + 2, (k + 1) * n + 1
-    return (k + 1) * p, q
+    sn, sd, strict, cn, cd, c = _guarantee_pieces(n, _bracket_k(n, p, q))
+    return (c * p, q) if p * sd - q * sn >= strict else (cn, cd)
 
 
 def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
