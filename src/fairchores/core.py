@@ -115,10 +115,12 @@ class DisutilityVector:
     """One agent's additive disutilities over m objects, stored as integers.
 
     Entry j is ``ints[j] / denom``, with ``denom`` the least common
-    denominator of the entries, so equal rows have equal fields.  The
-    constructor reads each entry as `as_fraction` does, through `_ratio`:
-    Fractions, ints and plain ASCII text (`7`, `7/20`, `0.35`, `.35`) as
-    integer pairs, with no Fraction built.
+    denominator of the entries, so equal rows have equal fields.  Every
+    constructor leaves a row in lowest terms: this one, `_of_view`,
+    `order_vector` and `shares._witness`, which reduces its two-valued row
+    in closed form.  The constructor reads each entry as `as_fraction`
+    does, through `_ratio`: Fractions, ints and plain ASCII text (`7`,
+    `7/20`, `0.35`, `.35`) as integer pairs, with no Fraction built.
     ``normalized`` is True when the entries sum to exactly 1; an all-zero
     row produced by normalising a zero-total agent carries False.
     """
@@ -188,9 +190,10 @@ class Instance:
     def __post_init__(self):
         if not self.profile:
             raise ValidationError("instance needs at least one agent")
-        m = self.profile[0].m
-        if any(v.m != m for v in self.profile):
-            raise ValidationError("ragged disutility matrix")
+        m = len(self.profile[0].ints)
+        for v in self.profile:
+            if len(v.ints) != m:
+                raise ValidationError("ragged disutility matrix")
 
     @property
     def n(self) -> int:

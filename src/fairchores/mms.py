@@ -11,7 +11,8 @@ Martello, 1995): the largest object, the average load `ceil(total/n)`, and
 the pigeonhole count, by which some bundle holds k+1 of the kn+1 largest
 objects.  The bound is computed once per row and handed to the search as
 its floor.  A seed that meets it, as for n = 1 or an empty row, is
-returned at the search's first call.  Otherwise the bundle of the largest
+returned at the search's first call, before any frame, table or counter is
+made: most witness rows settle there.  Otherwise the bundle of the largest
 object is enumerated from the subset sums of two halves of the other
 objects (Horowitz & Sahni, 1974), heaviest first and within the sums that
 could beat the incumbent, and the rest is split into n-1 bundles the same
@@ -129,12 +130,14 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
 
     Returns an optimum, or the first partition found at or below the larger
     of the average load `ceil(total/n)` and `floor`; a call whose incumbent
-    is already there returns it untouched, which settles every n = 1 or
-    empty row.  The root passes `_lower_bound` as its floor; a sub-call
-    passes the load of the bundle it has placed, which holds a larger object
-    than any in the rest, so the floor covers the largest-object term.  A
-    caller may pass a `best` below the value of `assign` as a cutoff: a
-    returned value of at least `best` then says that no partition below it
+    is already there returns it untouched.  One at or below `floor` returns
+    before it makes a frame, a `failed` table or a `spent` counter, which
+    settles every n = 1 or empty row and every seed that meets the root
+    bound.  The root passes `_lower_bound` as its floor; a sub-call passes
+    the load of the bundle it has placed, which holds a larger object than
+    any in the rest, so the floor covers the largest-object term.  A caller
+    may pass a `best` below the value of `assign` as a cutoff: a returned
+    value of at least `best` then says that no partition below it
     exists, or that `floor` is already at `best`, and its assignment is not
     used.
 
@@ -146,6 +149,8 @@ def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
     of one search share `failed` and `spent`; a call given no table or no
     counter starts its own.
     """
+    if best <= floor:
+        return best, assign
     failed = {} if failed is None else failed
     spent = [0] if spent is None else spent
     stack, result = [_frame(items, n, best, assign, floor, failed, spent).send], None

@@ -10,7 +10,9 @@ Each bound's pieces are data: for every bracket k (see core._bracket_k) a
 record lists the bound's pieces in the bracket, each with its start, its
 value as an integer form in alpha = p/q, and its witness as two integers
 (a, b): a objects at alpha, the remainder 1 - a*alpha split evenly over b
-objects, and zeros up to m.  A share function finds alpha's bracket with
+objects, and zeros up to m.  `_witness` builds that row already in lowest
+terms, its gcd taken in closed form from the two values, with no pass over
+the row's entries.  A share function finds alpha's bracket with
 one integer division and takes from the bracket's record the piece that
 holds alpha; `experiments.curve_samples` sweeps a grid over the same
 records, building each bracket's once per call.
@@ -18,6 +20,7 @@ records, building each bracket's once per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -220,11 +223,15 @@ def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
     length = a + b if m is None else m
     if length > MAX_WITNESS_OBJECTS:
         raise DomainError(f"witness needs {length} objects, more than {MAX_WITNESS_OBJECTS}")
-    # over q*b: a entries alpha = p*b/(q*b), b entries (1 - a*alpha)/b
-    ints = [p * b] * a + [q - a * p] * b
-    assert len(ints) <= length, "construction larger than requested m"
-    ints += [0] * (length - len(ints))
-    vec = DisutilityVector._of_view(ints, q * b, normalized=True)
+    assert a + b <= length, "construction larger than requested m"
+    # over q*b the entries are p*b (a copies: alpha), r = q - a*p (b copies:
+    # (1 - a*alpha)/b) and zeros; with a, b >= 1 that makes gcd(q*b, p*b, r)
+    # the row's gcd, so the row is built reduced, with no pass over it
+    r = q - a * p
+    g = math.gcd(q * b, p * b, r)
+    vec = DisutilityVector.__new__(DisutilityVector)
+    vec._fill(tuple([p * b // g] * a + [r // g] * b + [0] * (length - a - b)),
+              q * b // g, True)
     assert max(vec.ints) * q == p * vec.denom  # vec.alpha() == p/q
     return WitnessInstance(Instance((vec,)), F(num, den), tag)
 

@@ -9,6 +9,12 @@ workload's seed-1 grid (400 points j/10007, drawn by
 on the same (n, alpha) points; `_guarantee_piece`, which the moving knife
 calls once per agent per level, is given alpha's numerator and denominator.
 
+The certification half of `bounds` is timed per call on that workload's
+share queries (`perfbench.workloads.share_queries`, n = 2..10): both
+witness builders, `exact_mms` on the rows they build (both rows of every
+query), and the two piece functions `shares._upper_piece` and
+`_lower_piece`, given alpha's numerator and denominator.
+
 Each figure comes from fresh processes, one per tree and round: a process
 imports the package from its tree, times every layer 15 times and keeps the
 best.  With several `--src` trees the six rounds alternate which tree runs
@@ -33,7 +39,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 GRID_POINTS = 400
 LATTICE = 10007
 PROCESSES, REPEATS, MAX_N = 6, 15, 60
@@ -58,11 +65,25 @@ def best_seconds(run, repeats: int) -> float:
 def measure(ns: range, repeats: int) -> dict[str, float]:
     """Best-of-repeats microseconds per point (curve) and per call (the rest)."""
     from fairchores.experiments import curve_samples
-    from fairchores.shares import _guarantee_piece, guarantee, hill_share, mms_lower_bound
+    from fairchores.mms import exact_mms
+    from fairchores.shares import (
+        _guarantee_piece,
+        _lower_piece,
+        _upper_piece,
+        guarantee,
+        hill_share,
+        mms_lower_bound,
+        witness_lower,
+        witness_upper,
+    )
+    from perfbench.workloads import MMS_MAX_AGENTS, share_queries
 
     points = grid()
     pairs = [(a.numerator, a.denominator) for a in points]
     count = len(ns) * len(points)
+    queries = [(n, a, m) for n in ns if n <= MMS_MAX_AGENTS for a, m in share_queries(n)]
+    rows = [(build(n, a, m).vector, n) for n, a, m in queries
+            for build in (witness_upper, witness_lower)]
 
     def curve():
         for n in ns:
@@ -80,11 +101,36 @@ def measure(ns: range, repeats: int) -> dict[str, float]:
             for p, q in pairs:
                 _guarantee_piece(n, p, q)
 
-    layers = {"curve_samples_per_point": curve, "hill_share": calls(hill_share),
-              "mms_lower_bound": calls(mms_lower_bound), "guarantee": calls(guarantee),
-              "_guarantee_piece": piece}
-    return {name: round(best_seconds(run, repeats) / count * 1e6, 4)
-            for name, run in layers.items()}
+    def witnesses(build):
+        def run():
+            for n, a, m in queries:
+                build(n, a, m)
+        return run
+
+    def certify():
+        for v, n in rows:
+            exact_mms(v, n)
+
+    def pieces(share_piece):
+        args = [(n, a.numerator, a.denominator, m) for n, a, m in queries]
+
+        def run():
+            for n, p, q, m in args:
+                share_piece(n, p, q, m)
+        return run
+
+    layers = {"curve_samples_per_point": (curve, count),
+              "hill_share": (calls(hill_share), count),
+              "mms_lower_bound": (calls(mms_lower_bound), count),
+              "guarantee": (calls(guarantee), count),
+              "_guarantee_piece": (piece, count),
+              "witness_upper": (witnesses(witness_upper), len(queries)),
+              "witness_lower": (witnesses(witness_lower), len(queries)),
+              "exact_mms_on_witness_rows": (certify, len(rows)),
+              "_upper_piece": (pieces(_upper_piece), len(queries)),
+              "_lower_piece": (pieces(_lower_piece), len(queries))}
+    return {name: round(best_seconds(run, repeats) / per * 1e6, 4)
+            for name, (run, per) in layers.items()}
 
 
 def main(argv=None) -> int:
@@ -98,7 +144,7 @@ def main(argv=None) -> int:
     processes, repeats, max_n = QUICK if args.quick else (PROCESSES, REPEATS, MAX_N)
 
     if args.child:  # one process: time the tree on sys.path and print one line
-        sys.path.insert(0, str(args.child))
+        sys.path[:0] = [str(args.child), str(ROOT)]  # the tree's package, then perfbench
         print(json.dumps(measure(range(2, max_n + 1), repeats)))
         return 0
 
@@ -115,6 +161,9 @@ def main(argv=None) -> int:
     print(json.dumps({
         "unit": "microseconds; curve_samples per grid point, the rest per call",
         "grid": f"{GRID_POINTS} points j/{LATTICE} from random.Random('bounds:1'), n = 2..{max_n}",
+        "witnesses": "perfbench.workloads.share_queries(n) for the n above that the bounds "
+                     "workload certifies (n <= MMS_MAX_AGENTS); exact_mms per row, both "
+                     "rows of every query",
         "method": f"best of {repeats} passes per process and of {processes} "
                   "processes per tree, trees alternating",
         "python": platform.python_version(),

@@ -435,6 +435,34 @@ class TestSequentialFloor:
         assert early >= 10
 
 
+class TestSettledReturn:
+    """A call whose incumbent is already at or below its floor returns it
+    before any frame: the very assignment it was given, with a `failed`
+    table and a `spent` counter passed in left as they were."""
+
+    @pytest.mark.parametrize("n, items", [(1, [5, 3]), (2, [3, 3, 2, 2, 2]),
+                                          (3, [7, 4, 4, 3, 2, 1])])
+    def test_settled_seed_is_returned_untouched(self, n, items):
+        best, assign = _greedy_makespan(items, n)
+        for floor in (best, best + 1):
+            failed, spent = {(2, 1, 1): 9}, [5]
+            value, got = _sequential(items, n, best, assign, floor, failed, spent)
+            assert value == best and got is assign
+            assert failed == {(2, 1, 1): 9} and spent == [5]
+
+    def test_seed_one_above_the_floor_is_searched(self):
+        # the optimum 6 (3+3 | 2+2+2) is the root bound; the greedy seed is 7
+        items, n = [3, 3, 2, 2, 2], 2
+        best, assign = _greedy_makespan(items, n)
+        floor = _lower_bound(items, n)
+        assert (best, floor, naive_mms(items, n)) == (7, 6, 6)
+        value, got = _sequential(items, n, best, assign, floor)
+        loads = [0] * n
+        for w, b in zip(items, got, strict=True):
+            loads[b] += w
+        assert value == max(loads) == 6 and got is not assign
+
+
 class TestCutTables:
     """`_sequential` builds each half table cut below `best - items[0]`, the
     first bundle's room at the call's start.  A cut table is the full table

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fairchores.core import DomainError, ceil_inv
+from fairchores.core import DisutilityVector, DomainError, ceil_inv
 from fairchores.mms import exact_mms
 from fairchores.shares import (
     _guarantee_piece,
+    _lower_piece,
+    _upper_piece,
     guarantee,
     high_ratio_ranges,
     hill_share,
@@ -181,6 +184,40 @@ class TestWitnesses:
         # a + b = 1 + 2(k+1) objects with k ~ 10**30: rejected before any list
         with pytest.raises(DomainError, match="objects"):
             witness_upper(2, F(1, 10**30))
+
+
+class TestWitnessRowParity:
+    """`_witness` builds its row reduced, in closed form: the gcd of the
+    denominator q*b and the entries p*b and r = q - a*p.  The row must be
+    the one a gcd pass over the whole unreduced list gives, in lowest terms.
+    Rows of one alpha repeat across n, so each reference is built once."""
+
+    def test_rows_match_the_reduced_list(self):
+        rows = 0
+        for q in range(2, 30):
+            for p in range(1, q):
+                if math.gcd(p, q) != 1:
+                    continue
+                alpha, c, refs = F(p, q), -(-q // p), {}
+                for n in range(2, 9):
+                    for m in [None, *range(c, c + 3 * n + 4)]:
+                        for build, piece in ((witness_upper, _upper_piece),
+                                             (witness_lower, _lower_piece)):
+                            vec = build(n, alpha, m).vector
+                            a, b = piece(n, p, q, m)[3:]
+                            ref = refs.get((a, b, m))
+                            if ref is None:
+                                ints = [p * b] * a + [q - a * p] * b
+                                if m is not None:
+                                    ints += [0] * (m - a - b)
+                                ref = refs[a, b, m] = DisutilityVector._of_view(
+                                    ints, q * b, True)
+                            assert (vec.ints, vec.denom, vec.normalized) == (
+                                ref.ints, ref.denom, ref.normalized), (n, alpha, m)
+                            rows += 1
+                for ref in refs.values():
+                    assert math.gcd(ref.denom, *ref.ints) == 1, (alpha, ref)
+        assert rows == 75_320
 
 
 class TestRatios:
