@@ -16,7 +16,9 @@ runs on them, and its `Fraction` entries are built only when read.  Numbers
 are read by one rule, `_ratio`: ASCII text `digits`, `digits/digits`,
 `digits.digits` or `.digits` (the forms instance files use) is read with
 int() and one gcd, and every other form through `Fraction`, so a row is
-built from its cells with no `Fraction` per cell.
+built from its cells with no `Fraction` per cell.  An instance file reads
+each distinct cell text once (`parse_instance_csv`), and a row is built
+from its integer pairs and normalised in one step (`_fill_pairs`).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _ratio(x) -> tuple[int, int]:
             if num.isdigit() and den.isdigit() and (b := int(den)):
                 a = int(num)
                 g = math.gcd(a, b)
-                return a // g, b // g
+                return (a, b) if g == 1 else (a // g, b // g)
     elif isinstance(x, Fraction):
         return x.numerator, x.denominator
     elif type(x) is int:
@@ -120,7 +122,10 @@ class DisutilityVector:
     `order_vector` and `shares._witness`, which reduces its two-valued row
     in closed form.  The constructor reads each entry as `as_fraction`
     does, through `_ratio`: Fractions, ints and plain ASCII text (`7`,
-    `7/20`, `0.35`, `.35`) as integer pairs, with no Fraction built.
+    `7/20`, `0.35`, `.35`) as integer pairs, with no Fraction built.  The
+    constructor, `normalize` and `parse_instance_csv` all build a row from
+    such pairs with `_fill_pairs`, which also normalises it, so a row is
+    filled and validated once.
     ``normalized`` is True when the entries sum to exactly 1; an all-zero
     row produced by normalising a zero-total agent carries False.
     """
@@ -129,12 +134,25 @@ class DisutilityVector:
     denom: int
     normalized: bool
 
+    def __init__(self, values: Iterable, normalized: bool = False):
+        self._fill_pairs([_ratio(x) for x in values], normalized)
+
     # tuple([...]), not tuple(generator): a tuple built from an iterator of
     # unknown length is resized, which fills CPython's per-size free lists
-    def __init__(self, values: Iterable, normalized: bool = False):
-        pairs = [_ratio(x) for x in values]
+    def _fill_pairs(self, pairs: list[tuple[int, int]], normalized: bool,
+                    normalize: bool = False) -> None:
+        """Fill the row from (numerator, denominator) pairs over their least
+        common denominator.  With ``normalize`` the row is divided by its
+        total in the same step (one gcd pass) and flagged normalized; a
+        zero-total row is kept as it is.  One `_fill`, so one validation."""
         denom = math.lcm(*{d for _, d in pairs})
-        self._fill(tuple([a * (denom // d) for a, d in pairs]), denom, normalized)
+        ints = [a * (denom // d) for a, d in pairs]
+        if normalize and (total := sum(ints)):
+            g = math.gcd(total, *ints)
+            if g != 1:
+                ints = [x // g for x in ints]
+            denom, normalized = total // g, True
+        self._fill(tuple(ints), denom, normalized)
 
     @classmethod
     def _of_view(cls, ints: Sequence[int], denom: int, normalized: bool) -> DisutilityVector:
@@ -263,13 +281,15 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     Each row is divided by its total; a zero-total row is kept all-zero and
     flagged via ``normalized=False``.
     """
-    return Instance(tuple([_normalized(DisutilityVector(r)) for r in raw]))
+    return Instance(tuple([_normalized([_ratio(x) for x in r]) for r in raw]))
 
 
-def _normalized(row: DisutilityVector) -> DisutilityVector:
-    """The row divided by its total; a zero-total row is returned as it is."""
-    total = sum(row.ints)
-    return DisutilityVector._of_view(row.ints, total, normalized=True) if total else row
+def _normalized(pairs: list[tuple[int, int]]) -> DisutilityVector:
+    """The row of (numerator, denominator) pairs divided by its total; a
+    zero-total row is kept as it is, flagged ``normalized=False``."""
+    row = DisutilityVector.__new__(DisutilityVector)
+    row._fill_pairs(pairs, False, normalize=True)
+    return row
 
 
 def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]]:
@@ -378,6 +398,18 @@ def _printable(bound: int) -> bool:
 
 
 def parse_instance_csv(text: str) -> Instance:
+    """Read an instance file (format above) into a normalised Instance.
+
+    Each distinct cell text is read once per call: a table that lives for
+    this call only maps the text as written to the integer pair `_ratio`
+    reads from it stripped, so a repeated cell costs one dict lookup, with
+    no strip, and a file of few distinct entries one `_ratio` per entry, not
+    one per cell.  Each row is built from its pairs, normalised and
+    validated in one step (`_fill_pairs`).  Lines are read in order, a
+    line's cells from left to right, and every error names the line it is
+    found on: a bad cell raises where it first occurs and is never stored,
+    so that is the first line that holds it.
+    """
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -386,13 +418,17 @@ def parse_instance_csv(text: str) -> Instance:
     m = len(header)
     if header != [f"object_{j}" for j in range(1, m + 1)]:
         raise ValidationError("bad header, expected object_1,...,object_m")
+    cells: dict[str, tuple[int, int]] = {}
     profile = []
     for lineno, ln in lines[1:]:
-        toks = [t.strip() for t in ln.split(",")]
+        toks = ln.split(",")
         if len(toks) != m:
             raise ValidationError(f"line {lineno}: expected {m} entries, got {len(toks)}")
         try:
-            row = _normalized(DisutilityVector(toks))
+            for t in toks:
+                if t not in cells:
+                    cells[t] = _ratio(t.strip())
+            row = _normalized([cells[t] for t in toks])
             if not _printable(row.denom):
                 raise ValueError("normalised row too long to print")
         except ValueError as exc:

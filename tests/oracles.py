@@ -91,6 +91,41 @@ def lpt_seed(items, n: int):
     return max(heap)[0], assign
 
 
+def root_certificate(row, n: int):
+    """A certificate of row's exact MinMaxShare for n agents that needs no
+    search and nothing from `mms.py`: the LPT partition of the row's nonzero
+    integers, largest first (`lpt_seed`), and three lower bounds on the
+    largest bundle of every n-partition:
+
+    - "largest": the largest object;
+    - "average": the total over n, rounded up;
+    - "pigeonhole": for k >= 1 with at least kn + 1 objects, some bundle
+      holds k + 1 of the kn + 1 largest, so at least their k + 1 smallest.
+
+    Returns (term, value) for the first term, in that order, that meets the
+    partition's largest bundle, value being that bundle as a Fraction; None
+    when no term meets it.
+    """
+    items = sorted([x for x in row.ints if x], reverse=True)
+    if not items:
+        return "largest", F(0)
+    top, _ = lpt_seed(items, n)
+    prefix = [0]
+    for x in items:
+        prefix.append(prefix[-1] + x)
+    terms = {
+        "largest": items[0],
+        "average": -(-prefix[-1] // n),
+        "pigeonhole": max([prefix[k * n + 1] - prefix[k * n - k]
+                           for k in range(1, (len(items) - 1) // n + 1)], default=0),
+    }
+    for term, bound in terms.items():
+        assert bound <= top, (term, bound, top)  # a lower bound, met or not
+        if bound == top:
+            return term, F(top, row.denom)
+    return None
+
+
 def lattice_mms(parts, n: int) -> int:
     """min over n-partitions of the max bundle sum of non-negative integers,
     by dynamic programming over bundle loads.

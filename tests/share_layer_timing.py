@@ -15,6 +15,12 @@ witness builders, `exact_mms` on the rows they build (both rows of every
 query), and the two piece functions `shares._upper_piece` and
 `_lower_piece`, given alpha's numerator and denominator.
 
+The instance reader is timed per call on the `cli` workload's three seed-1
+files (`perfbench.workloads.Cli(workdir=...).items(1, 9)`: 3x18 small
+integers, 3x30 power-law fractions, 8x60 mostly zeros), written to a
+temporary directory that is removed afterwards: `read_instance_csv`, file
+read included, as `read_instance_csv_3x18` and so on.
+
 Each figure comes from fresh processes, one per tree and round: a process
 imports the package from its tree, times every layer 15 times and keeps the
 best.  With several `--src` trees the six rounds alternate which tree runs
@@ -35,6 +41,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +51,7 @@ SRC = ROOT / "src"
 GRID_POINTS = 400
 LATTICE = 10007
 PROCESSES, REPEATS, MAX_N = 6, 15, 60
+READS = 20  # file reads per timed pass
 QUICK = 1, 1, 4  # processes, repeats and largest n of a --quick run
 
 
@@ -64,6 +72,12 @@ def best_seconds(run, repeats: int) -> float:
 
 def measure(ns: range, repeats: int) -> dict[str, float]:
     """Best-of-repeats microseconds per point (curve) and per call (the rest)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _measure(ns, repeats, Path(tmp))
+
+
+def _measure(ns: range, repeats: int, tmp: Path) -> dict[str, float]:
+    from fairchores.core import read_instance_csv
     from fairchores.experiments import curve_samples
     from fairchores.mms import exact_mms
     from fairchores.shares import (
@@ -76,7 +90,7 @@ def measure(ns: range, repeats: int) -> dict[str, float]:
         witness_lower,
         witness_upper,
     )
-    from perfbench.workloads import MMS_MAX_AGENTS, share_queries
+    from perfbench.workloads import MMS_MAX_AGENTS, Cli, share_queries
 
     points = grid()
     pairs = [(a.numerator, a.denominator) for a in points]
@@ -119,6 +133,16 @@ def measure(ns: range, repeats: int) -> dict[str, float]:
                 share_piece(n, p, q, m)
         return run
 
+    def reads(path):
+        def run():
+            for _ in range(READS):
+                read_instance_csv(path)
+        return run
+
+    cli = Cli(workdir=tmp)
+    cli.items(1, 9)
+    files = {f"read_instance_csv_{n}x{m}": tmp / f"inst_{n}x{m}.csv" for n, m in cli.shapes}
+
     layers = {"curve_samples_per_point": (curve, count),
               "hill_share": (calls(hill_share), count),
               "mms_lower_bound": (calls(mms_lower_bound), count),
@@ -128,7 +152,8 @@ def measure(ns: range, repeats: int) -> dict[str, float]:
               "witness_lower": (witnesses(witness_lower), len(queries)),
               "exact_mms_on_witness_rows": (certify, len(rows)),
               "_upper_piece": (pieces(_upper_piece), len(queries)),
-              "_lower_piece": (pieces(_lower_piece), len(queries))}
+              "_lower_piece": (pieces(_lower_piece), len(queries)),
+              **{name: (reads(path), READS) for name, path in files.items()}}
     return {name: round(best_seconds(run, repeats) / per * 1e6, 4)
             for name, (run, per) in layers.items()}
 
@@ -164,6 +189,8 @@ def main(argv=None) -> int:
         "witnesses": "perfbench.workloads.share_queries(n) for the n above that the bounds "
                      "workload certifies (n <= MMS_MAX_AGENTS); exact_mms per row, both "
                      "rows of every query",
+        "files": "read_instance_csv on perfbench.workloads.Cli(...).items(1, 9)'s three "
+                 "instance files, file read included",
         "method": f"best of {repeats} passes per process and of {processes} "
                   "processes per tree, trees alternating",
         "python": platform.python_version(),

@@ -36,11 +36,12 @@ def report(num: int, name: str, failures: list) -> None:
     assert not failures, f"criterion {num} ({name}): {failures[:5]}"
 
 
-def share_grid():
-    """(n, alpha, m) queries covering every D/I sub-branch for n <= 8, k <= 6."""
+def share_grid(n_max: int = 8, k_max: int = 6):
+    """(n, alpha, m) queries covering every D/I sub-branch for n <= n_max,
+    k <= k_max (criteria 1-2 read the default range)."""
     queries = []
-    for n in range(2, 9):
-        for k in range(7):
+    for n in range(2, n_max + 1):
+        for k in range(k_max + 1):
             left = F(1, (k + 1) * n + 1)
             right = F(1, k * n + 1)
             split = F(k + 2, n * (k + 1) ** 2 + k + 2)

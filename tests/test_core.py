@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from fairchores import core
 from fairchores.allocator import reduce_to_ordered
 from fairchores.core import (
     DisutilityVector,
@@ -151,6 +152,76 @@ def test_parse_matches_fraction_per_cell_reference():
                 "1.2.3,1", "/5,1", "5/,1", "\u00b2,1"):
         _check_parse(head + bad + "\n3/4,1\n")
         _check_parse(head + "2,2\n" + bad + "\n")
+
+
+def _repeated_tokens() -> tuple[list, list]:
+    """(good, bad) cell texts for files that repeat them: the forms instance
+    files use and forms only Fraction reads; non-ASCII digits Fraction
+    accepts and rejects, a sign, a zero denominator, junk and a token one
+    character past the digit limit; each also padded with whitespace."""
+    good = ["0", "7", "7/20", "0.35", ".5", "2.50", "1e-2", "+3", "1_0", "\u0661\u0662"]
+    bad = ["\u00b2", "-1", "1/0", "abc", "7" * (sys.get_int_max_str_digits() + 1)]
+    def pad(toks):
+        return toks + [f" {t} " for t in toks] + [f"\t{t}" for t in toks]
+    return pad(good), pad(bad)
+
+
+def test_parse_of_repeated_tokens_matches_reference():
+    # a file reads each distinct cell text once; rows, error texts and
+    # error lines must be those of a read of every cell
+    good, bad = _repeated_tokens()
+    rng = random.Random("repeated-tokens")
+    for trial in range(240):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        alphabet = rng.sample(good, rng.randint(1, 4))
+        rows = [[rng.choice(alphabet) for _ in range(m)] for _ in range(n)]
+        for _ in range(trial % 3):  # bad tokens from some line on, repeated below
+            tok = rng.choice(bad)
+            for row in rows[rng.randrange(n):]:
+                row[rng.randrange(m)] = tok
+        _check_parse(_csv(rows))
+    for tok in bad:
+        # first on line 4, again on line 6: the error names line 4
+        text = f"object_1,object_2\n7,0.35\n7, 7/20\n{tok},7\n7,7\n7,{tok}\n"
+        _check_parse(text)
+        assert _parse_outcome(parse_instance_csv, text).startswith("line 4: "), tok
+
+
+def test_parse_reads_each_distinct_cell_text_once(monkeypatch):
+    # an 8x60 file of 0 and 1-9, as the cli benchmark writes: one _ratio
+    # per distinct text, and a second call reads each text again
+    rng = random.Random("distinct-cells")
+    rows = [[0 if rng.random() < 0.6 else rng.randrange(1, 10) for _ in range(60)]
+            for _ in range(8)]
+    text = _csv(rows)
+    want = parse_instance_csv(text)
+    calls = []
+    monkeypatch.setattr(core, "_ratio", lambda x: calls.append(x) or _ratio(x))
+    distinct = sorted({str(x) for row in rows for x in row})
+    for reads in (1, 2):
+        assert parse_instance_csv(text) == want
+        assert sorted(calls) == sorted(distinct * reads)
+    assert len(distinct) == 10
+
+
+def test_parse_keeps_nothing_between_calls():
+    # a token that raised raises again, and a token read under a raised
+    # digit limit is refused once the limit is lowered
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^line 3: Invalid literal"):
+            parse_instance_csv("object_1,object_2\n1,2\n1,abc\n")
+    old = sys.get_int_max_str_digits()
+    limit = old or 4300
+    text = f"object_1,object_2\n{'7' * (limit + 100)},1\n"
+    try:
+        sys.set_int_max_str_digits(limit + 200)
+        assert parse_instance_csv(text).profile[0].normalized
+        sys.set_int_max_str_digits(limit)
+        with pytest.raises(ValidationError,
+                           match=f"^line 2: entry has more than {limit} digits"):
+            parse_instance_csv(text)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # Each call's text would build an integer of 10**8 digits.  They run in a

@@ -20,7 +20,14 @@ from fairchores.shares import (
     witness_lower,
     witness_upper,
 )
-from oracles import bracket_k, reference_guarantee, reference_lower, reference_upper
+from oracles import (
+    bracket_k,
+    reference_guarantee,
+    reference_lower,
+    reference_upper,
+    root_certificate,
+)
+from test_acceptance import share_grid
 
 F = Fraction
 
@@ -218,6 +225,34 @@ class TestWitnessRowParity:
                 for ref in refs.values():
                     assert math.gcd(ref.denom, *ref.ints) == 1, (alpha, ref)
         assert rows == 75_320
+
+
+class TestRootCertificates:
+    """Both witness families are tight on criteria 1-2's grid construction
+    widened to n <= 20, k <= 10, checked without a search: each witness's
+    claim must equal its `root_certificate` (an LPT partition meeting a
+    root bound), or `exact_mms` where no bound meets the partition."""
+
+    def test_claims_equal_their_certificates(self):
+        terms, searched = {}, []
+        for n, a, m in share_grid(n_max=20, k_max=10):
+            for build, share in ((witness_upper, hill_share),
+                                 (witness_lower, mms_lower_bound)):
+                w = build(n, a, m)
+                claim = share(n, a, m)
+                assert w.claimed_mms == claim, (build.__name__, n, a, m)
+                cert = root_certificate(w.vector, n)
+                if cert is None:
+                    searched.append((build.__name__, n, a, m))
+                    assert exact_mms(w.vector, n) == claim, searched[-1]
+                    continue
+                term, value = cert
+                assert value == claim, (build.__name__, n, a, m, term)
+                terms[term] = terms.get(term, 0) + 1
+        # 15,976 rows; only two need the search
+        assert searched == [("witness_upper", 2, F(3, 11), 7),
+                            ("witness_upper", 2, F(3, 11), None)]
+        assert terms == {"largest": 994, "average": 7229, "pigeonhole": 7751}
 
 
 class TestRatios:
