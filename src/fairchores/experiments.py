@@ -4,8 +4,11 @@ and theoretical-curve data.
 All ratio arithmetic is exact: synthetic draws live on a common denominator
 of 10**9, so segment lengths sum to exactly 1 and the integer MMS solver
 applies directly.  The share curves sweep their grid over the bounds' piece
-records (see shares): `curve_samples` builds each bracket's records once per
-call, and each point takes its three pieces from them.
+records (see shares): `curve_samples` answers a point on the top range,
+where every bound is alpha itself, with one cross-multiplication and before
+its bracket; it builds each other bracket's records once per call, and each
+point there takes its three pieces from them.  `curve_csv` writes alpha's
+text once per row.
 """
 
 from __future__ import annotations
@@ -120,28 +123,22 @@ def run_histogram(cfg: ExperimentConfig) -> RatioHistogram:
 
 
 def _curve_record(n: int, k: int, m, constants: dict) -> tuple:
-    """What curve_samples reads for bracket k: the start triple of the top
-    range where every bound is alpha itself; the upper and lower pieces as
-    (start_num, start_den, strict, x, y, z, c), with c the constant x/y's
-    Fraction or None; and the guarantee's IV start, IV coefficient and NI
-    constant's Fraction.  Constant Fractions are kept in ``constants``, one
-    per value."""
+    """What curve_samples reads for bracket k below the top range: the upper
+    and lower pieces as (start_num, start_den, strict, x, y, z, c), with c
+    the constant x/y's Fraction or None; and the guarantee's IV start, IV
+    coefficient and NI constant's Fraction.  Constant Fractions are kept in
+    ``constants``, one per value."""
     def shared(x, y):
         c = constants.get((x, y))
         if c is None:
             c = constants[x, y] = F(x, y)
         return c
 
-    families = (_upper_pieces(n, k, m), _lower_pieces(n, k, m))
-    gsn, gsd, gstrict, cn, cd, c = _guarantee_pieces(n, k)
-    tops = [pieces[0] for pieces in families]
-    start = (1, 0, 1)  # past 1/0: no point, unless every top piece is alpha
-    if c == 1 and all(z and x == z and not y for _, _, _, _, x, y, z, *_ in tops):
-        start = max([top[:3] for top in tops] + [(gsn, gsd, gstrict)],
-                    key=lambda s: (F(s[0], s[1]), s[2]))
     ups, los = ([(sn, sd, strict, x, y, z, None if z else shared(x, y))
-                 for sn, sd, strict, _, x, y, z, *_ in pieces] for pieces in families)
-    return (*start, ups, los, gsn, gsd, gstrict, c, shared(cn, cd))
+                 for sn, sd, strict, _, x, y, z, *_ in pieces]
+                for pieces in (_upper_pieces(n, k, m), _lower_pieces(n, k, m)))
+    gsn, gsd, gstrict, cn, cd, c = _guarantee_pieces(n, k)
+    return ups, los, gsn, gsd, gstrict, c, shared(cn, cd)
 
 
 def curve_samples(n: int, grid, m=None) -> list[tuple]:
@@ -150,15 +147,20 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
     n and m are checked once per call: n < 2 and m < 2 are rejected
     outright, and a grid point outside a formula's domain (e.g.
     m < ceil(1/alpha)) is skipped with a warning that carries the text
-    hill_share would raise for it.  Each point's bracket k is one integer
+    hill_share would raise for it.  A Fraction point is used as given and
+    any other is read by as_fraction; its p and q are read once.  A point on
+    the top range, from 2/(n+1) (and from 1/m, where that is higher) up to
+    1, is answered first, with one cross-multiplication: there every bound
+    is alpha itself, and the row is (alpha, alpha, alpha, alpha, 1).  The
+    top range lies in bracket 0, the only bracket where the guarantee's
+    coefficient is 1, and starts at its IV piece, past the upper and lower
+    bounds' top pieces.  Any other point's bracket k is one integer
     division of its p and q.  The first point in a bracket builds the
     bracket's three piece records (shares._upper_pieces and _lower_pieces,
     core._guarantee_pieces), kept for this call only; every point takes from
     each record the piece that holds it and evaluates the piece's integer
     form.  Every field is a Fraction, and one is built only for a value not
-    already held: on the top range where every piece is alpha itself (in
-    bracket 0, from 2/(n+1) on) a row is (alpha, alpha, alpha, alpha, 1);
-    elsewhere the upper and lower values reuse alpha where they equal
+    already held: the upper and lower values reuse alpha where they equal
     it, a constant piece (1/n, the guarantee's NI piece) gives one Fraction
     per call, the guarantee reuses the upper value, and the ratio one
     shared 1 where the two bounds meet.
@@ -169,13 +171,21 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
         raise DomainError("need an object count m >= 2")
     # when n or m is no integer, _validate rejects every point, with its text
     checked = isinstance(n, int) and (m is None or isinstance(m, int))
+    # the top range starts at tn/td, closed: at IV(n, 0), where the guarantee
+    # is alpha, or at 1/m, below which no point is valid; 1/0 holds no point
+    tn, td = _guarantee_pieces(n, 0)[:2] if checked else (1, 0)
+    if m is not None and m * tn < td:
+        tn, td = 1, m
     one = F(1)
     constants: dict[tuple[int, int], Fraction] = {}
     brackets = {}
     rows = []
     for a in grid:
-        alpha = as_fraction(a)
-        p, q = alpha.numerator, alpha.denominator
+        alpha = a if a.__class__ is F else as_fraction(a)
+        p, q = alpha.as_integer_ratio()
+        if p * td >= q * tn and p < q:
+            rows.append((alpha, alpha, alpha, alpha, one))
+            continue
         if not (checked and 0 < p < q and (m is None or m * p >= q)):
             try:
                 _validate(n, alpha, m)
@@ -186,10 +196,7 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
         record = brackets.get(k)
         if record is None:
             record = brackets[k] = _curve_record(n, k, m, constants)
-        sn, sd, strict, ups, los, gsn, gsd, gstrict, gc, g = record
-        if p * sd - q * sn >= strict:
-            rows.append((alpha, alpha, alpha, alpha, one))
-            continue
+        ups, los, gsn, gsd, gstrict, gc, g = record
         for sn, sd, strict, un, ud, uz, up in ups:
             if p * sd - q * sn >= strict:
                 break
@@ -231,8 +238,13 @@ def records_csv(records, config: str) -> str:
 
 
 def curve_csv(rows, n: int, m=None) -> str:
+    """curve_samples rows, one line each, every field as str() writes it.
+    A row writes alpha's text once and reuses it for each field that is
+    alpha itself, as every field of a top-range row is."""
     out = [f"# config: n={n} m={'unrestricted' if m is None else m}",
            "alpha_fraction,alpha_decimal,delta_upper,delta_lower,guarantee,ratio"]
     for alpha, up, lo, g, r in rows:
-        out.append(f"{alpha},{format_decimal(alpha)},{up},{lo},{g},{r}")
+        a = str(alpha)
+        out.append(f"{a},{format_decimal(alpha)},{a if up is alpha else up},"
+                   f"{a if lo is alpha else lo},{a if g is alpha else g},{r}")
     return "\n".join(out) + "\n"

@@ -21,14 +21,18 @@ integers, 3x30 power-law fractions, 8x60 mostly zeros), written to a
 temporary directory that is removed afterwards: `read_instance_csv`, file
 read included, as `read_instance_csv_3x18` and so on.
 
-Each figure comes from fresh processes, one per tree and round: a process
-imports the package from its tree, times every layer 15 times and keeps the
-best.  With several `--src` trees the six rounds alternate which tree runs
-first, and a tree's figure is the best over its six processes, so a slow
-moment of the host reaches every tree alike.  The default tree is the one
-this file sits in.  The result is one JSON object on stdout, times in
-microseconds.  `--quick` runs one process, one pass and n = 2..4, to show
-that the script runs.
+`curve_csv` is timed per row on the rows that the tree's `curve_samples`
+gives for that grid, as `curve_csv_per_row`.
+
+Every tree runs in one process: each tree's package is imported under a
+name of its own (`fairchores_tree0`, `fairchores_tree1`, ...), so several
+versions sit side by side.  A pass times each layer on every tree back to
+back, the first tree first and last in turn, and the order flips from one
+pass to the next.  A tree's figure for a layer is its best over 60 passes,
+so a slow moment of the host reaches every tree alike.  The default tree
+is the one this file sits in.  The result is one JSON object on stdout,
+times in microseconds.  `--quick` runs one pass and n = 2..4, to show that
+the script runs.
 
 The file name keeps pytest from collecting it.
 """
@@ -36,10 +40,10 @@ The file name keeps pytest from collecting it.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import random
-import subprocess
 import sys
 import tempfile
 import time
@@ -50,9 +54,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GRID_POINTS = 400
 LATTICE = 10007
-PROCESSES, REPEATS, MAX_N = 6, 15, 60
+PASSES, MAX_N = 60, 60
 READS = 20  # file reads per timed pass
-QUICK = 1, 1, 4  # processes, repeats and largest n of a --quick run
+QUICK = 1, 4  # passes and largest n of a --quick run
 
 
 def grid() -> list[Fraction]:
@@ -61,35 +65,22 @@ def grid() -> list[Fraction]:
     return [Fraction(j, LATTICE) for j in sorted(rng.sample(range(1, LATTICE), GRID_POINTS))]
 
 
-def best_seconds(run, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def load(tree: Path, name: str):
+    """The package in the src directory `tree`, imported as module `name`."""
+    package = tree / "fairchores"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def measure(ns: range, repeats: int) -> dict[str, float]:
-    """Best-of-repeats microseconds per point (curve) and per call (the rest)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        return _measure(ns, repeats, Path(tmp))
-
-
-def _measure(ns: range, repeats: int, tmp: Path) -> dict[str, float]:
-    from fairchores.core import read_instance_csv
-    from fairchores.experiments import curve_samples
-    from fairchores.mms import exact_mms
-    from fairchores.shares import (
-        _guarantee_piece,
-        _lower_piece,
-        _upper_piece,
-        guarantee,
-        hill_share,
-        mms_lower_bound,
-        witness_lower,
-        witness_upper,
-    )
+def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
+    """(run, count) per timed layer of an imported package: one call of run
+    is one pass, and count is how many points, rows or calls it makes."""
+    core, experiments, mms, shares = (package.core, package.experiments,
+                                      package.mms, package.shares)
     from perfbench.workloads import MMS_MAX_AGENTS, Cli, share_queries
 
     points = grid()
@@ -97,11 +88,16 @@ def _measure(ns: range, repeats: int, tmp: Path) -> dict[str, float]:
     count = len(ns) * len(points)
     queries = [(n, a, m) for n in ns if n <= MMS_MAX_AGENTS for a, m in share_queries(n)]
     rows = [(build(n, a, m).vector, n) for n, a, m in queries
-            for build in (witness_upper, witness_lower)]
+            for build in (shares.witness_upper, shares.witness_lower)]
+    curves = [(experiments.curve_samples(n, points), n) for n in ns]
 
     def curve():
         for n in ns:
-            curve_samples(n, points)
+            experiments.curve_samples(n, points)
+
+    def csv():
+        for curve_rows, n in curves:
+            experiments.curve_csv(curve_rows, n)
 
     def calls(share):
         def run():
@@ -113,7 +109,7 @@ def _measure(ns: range, repeats: int, tmp: Path) -> dict[str, float]:
     def piece():
         for n in ns:
             for p, q in pairs:
-                _guarantee_piece(n, p, q)
+                shares._guarantee_piece(n, p, q)
 
     def witnesses(build):
         def run():
@@ -123,7 +119,7 @@ def _measure(ns: range, repeats: int, tmp: Path) -> dict[str, float]:
 
     def certify():
         for v, n in rows:
-            exact_mms(v, n)
+            mms.exact_mms(v, n)
 
     def pieces(share_piece):
         args = [(n, a.numerator, a.denominator, m) for n, a, m in queries]
@@ -136,26 +132,48 @@ def _measure(ns: range, repeats: int, tmp: Path) -> dict[str, float]:
     def reads(path):
         def run():
             for _ in range(READS):
-                read_instance_csv(path)
+                core.read_instance_csv(path)
         return run
 
     cli = Cli(workdir=tmp)
     cli.items(1, 9)
     files = {f"read_instance_csv_{n}x{m}": tmp / f"inst_{n}x{m}.csv" for n, m in cli.shapes}
 
-    layers = {"curve_samples_per_point": (curve, count),
-              "hill_share": (calls(hill_share), count),
-              "mms_lower_bound": (calls(mms_lower_bound), count),
-              "guarantee": (calls(guarantee), count),
-              "_guarantee_piece": (piece, count),
-              "witness_upper": (witnesses(witness_upper), len(queries)),
-              "witness_lower": (witnesses(witness_lower), len(queries)),
-              "exact_mms_on_witness_rows": (certify, len(rows)),
-              "_upper_piece": (pieces(_upper_piece), len(queries)),
-              "_lower_piece": (pieces(_lower_piece), len(queries)),
-              **{name: (reads(path), READS) for name, path in files.items()}}
-    return {name: round(best_seconds(run, repeats) / per * 1e6, 4)
-            for name, (run, per) in layers.items()}
+    return {"curve_samples_per_point": (curve, count),
+            "curve_csv_per_row": (csv, count),
+            "hill_share": (calls(shares.hill_share), count),
+            "mms_lower_bound": (calls(shares.mms_lower_bound), count),
+            "guarantee": (calls(shares.guarantee), count),
+            "_guarantee_piece": (piece, count),
+            "witness_upper": (witnesses(shares.witness_upper), len(queries)),
+            "witness_lower": (witnesses(shares.witness_lower), len(queries)),
+            "exact_mms_on_witness_rows": (certify, len(rows)),
+            "_upper_piece": (pieces(shares._upper_piece), len(queries)),
+            "_lower_piece": (pieces(shares._lower_piece), len(queries)),
+            **{name: (reads(path), READS) for name, path in files.items()}}
+
+
+def measure(trees: list[Path], ns: range, passes: int) -> dict[str, dict[str, float]]:
+    """Best-of-passes microseconds per point, row or call, per tree, the
+    trees imported side by side and each layer timed on them in turn.  A
+    tree named twice is imported twice; its second entry is keyed
+    "<tree> #<i>", i its place among the trees."""
+    # perfbench makes the inputs with the first tree's package
+    sys.path[:0] = [str(trees[0].resolve()), str(ROOT)]
+    keys = [f"{tree} #{i}" if tree in trees[:i] else str(tree) for i, tree in enumerate(trees)]
+    with tempfile.TemporaryDirectory() as tmp:
+        timed = {key: layers(load(tree.resolve(), f"fairchores_tree{i}"), ns, Path(tmp))
+                 for i, (key, tree) in enumerate(zip(keys, trees))}
+        best = {tree: dict.fromkeys(layer, float("inf")) for tree, layer in timed.items()}
+        order = list(timed)
+        for pass_ in range(passes):
+            for j, name in enumerate(timed[order[0]]):
+                for tree in order if (pass_ + j) % 2 == 0 else order[::-1]:
+                    t0 = time.perf_counter()
+                    timed[tree][name][0]()
+                    best[tree][name] = min(best[tree][name], time.perf_counter() - t0)
+    return {tree: {name: round(best[tree][name] / per * 1e6, 4)
+                   for name, (_, per) in layer.items()} for tree, layer in timed.items()}
 
 
 def main(argv=None) -> int:
@@ -163,38 +181,23 @@ def main(argv=None) -> int:
     ap.add_argument("--src", action="append", type=Path,
                     help="a tree's src directory (repeatable; default: this checkout's)")
     ap.add_argument("--quick", action="store_true",
-                    help="one process, one pass, n = 2..4: a check that the script runs")
-    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+                    help="one pass, n = 2..4: a check that the script runs")
     args = ap.parse_args(argv)
-    processes, repeats, max_n = QUICK if args.quick else (PROCESSES, REPEATS, MAX_N)
-
-    if args.child:  # one process: time the tree on sys.path and print one line
-        sys.path[:0] = [str(args.child), str(ROOT)]  # the tree's package, then perfbench
-        print(json.dumps(measure(range(2, max_n + 1), repeats)))
-        return 0
-
+    passes, max_n = QUICK if args.quick else (PASSES, MAX_N)
     trees = args.src or [SRC]
-    best: dict[str, dict[str, float]] = {str(t): {} for t in trees}
-    for round_ in range(processes):
-        for tree in trees if round_ % 2 == 0 else trees[::-1]:
-            out = subprocess.run(
-                [sys.executable, __file__, "--child", str(tree)] + ["--quick"] * args.quick,
-                check=True, capture_output=True, text=True).stdout
-            for name, us in json.loads(out.splitlines()[-1]).items():
-                seen = best[str(tree)].get(name)
-                best[str(tree)][name] = us if seen is None else min(seen, us)
     print(json.dumps({
-        "unit": "microseconds; curve_samples per grid point, the rest per call",
+        "unit": "microseconds; curve_samples per grid point, curve_csv per row, the rest per call",
         "grid": f"{GRID_POINTS} points j/{LATTICE} from random.Random('bounds:1'), n = 2..{max_n}",
         "witnesses": "perfbench.workloads.share_queries(n) for the n above that the bounds "
                      "workload certifies (n <= MMS_MAX_AGENTS); exact_mms per row, both "
                      "rows of every query",
         "files": "read_instance_csv on perfbench.workloads.Cli(...).items(1, 9)'s three "
                  "instance files, file read included",
-        "method": f"best of {repeats} passes per process and of {processes} "
-                  "processes per tree, trees alternating",
+        "method": f"best of {passes} passes per tree, every tree imported side by side "
+                  "in one process, each layer timed on the trees back to back in "
+                  "alternating order",
         "python": platform.python_version(),
-        "trees": best,
+        "trees": measure(trees, range(2, max_n + 1), passes),
     }, indent=1))
     return 0
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairchores import experiments
 from fairchores.core import DisutilityVector, ValidationError, format_decimal
 from fairchores.experiments import (
     ExperimentConfig,
@@ -200,6 +201,94 @@ class TestCurveRowsFromPieces:
             assert curve_samples(n, [F(1, 3), F(1, 4)]) == []
         assert [str(w.message) for w in caught] == [
             f"skipping alpha=1/3: {exc.value}", f"skipping alpha=1/4: {exc.value}"]
+
+
+class TestTopRange:
+    """curve_samples answers a point from 2/(n+1) on (and from 1/m, where
+    that is higher) before its bracket: the row reuses the point and one
+    shared 1, and builds no bracket record."""
+
+    @staticmethod
+    def neighbours(x, lattice):
+        """x and the nearest points j/lattice below and above it."""
+        j = math.ceil(x * lattice)
+        return [x, F(j - 1, lattice), F(j + 1 if x == F(j, lattice) else j, lattice)]
+
+    @classmethod
+    def points(cls, n, m):
+        starts = [F(2, n + 1)] + ([F(1, m)] if m is not None else [])
+        return sorted({x for s in starts for lattice in (10007, 7919 * (n + 1))
+                       for x in cls.neighbours(s, lattice) if 0 < x < 1})
+
+    @staticmethod
+    def run(n, grid, m):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = curve_samples(n, grid, m)
+        return rows, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("m", [None, 2, 3, "n+1", 30])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 60])
+    def test_boundary(self, n, m, monkeypatch):
+        m = n + 1 if m == "n+1" else m
+        points = self.points(n, m)
+        expected_rows, expected_warnings = [], []
+        for alpha in points:
+            try:
+                up, lo = hill_share(n, alpha, m), mms_lower_bound(n, alpha, m)
+            except ValueError as exc:
+                expected_warnings.append(f"skipping alpha={alpha}: {exc}")
+                continue
+            expected_rows.append((alpha, up, lo, guarantee(n, alpha), up / lo))
+        rows, skipped = self.run(n, points, m)
+        assert (rows, skipped) == (expected_rows, expected_warnings)
+
+        top = [row for row in rows if row[0] >= F(2, n + 1)]
+        assert top and len(top) < len(points)  # points on both sides of the start
+        by_value = {x: x for x in points}
+        for alpha, up, lo, g, r in top:
+            assert alpha is by_value[alpha] and up is alpha and lo is alpha and g is alpha
+        assert len({id(row[4]) for row in top}) == 1 and top[0][4] == 1
+
+        # every top-range point is answered without a bracket record
+        built = []
+        record = experiments._curve_record
+        monkeypatch.setattr(experiments, "_curve_record",
+                            lambda *args: built.append(args[1]) or record(*args))
+        assert self.run(n, [row[0] for row in top], m) == (top, [])
+        assert built == []
+        below = [row[0] for row in rows if row[0] < F(2, n + 1)]
+        assert self.run(n, below, m)[0] == rows[:len(below)]
+        assert len(built) == len(set(built)) and bool(built) == bool(below)
+
+
+class TestCurveCsvText:
+    def test_fields_equal_to_alpha_print_alike(self):
+        """A field that equals alpha prints alpha's text whether or not it
+        is alpha itself."""
+        points = [F(1, 3), F(7, 20), F(2, 3), F(9999, 10007)]
+        one = F(1)
+        shared = [(a, a, a, a, one) for a in points]
+        distinct = [(a, F(a.numerator, a.denominator), F(str(a)), a + 0, F(1)) for a in points]
+        mixed = [(a, a, F(1, 2), F(a.numerator, a.denominator), F(4, 3)) for a in points]
+        assert all(x is not a for a, *fields in distinct for x in fields[:3])
+        assert curve_csv(shared, 2) == curve_csv(distinct, 2)
+        lines = curve_csv(mixed, 2, 5).splitlines()
+        assert lines[0] == "# config: n=2 m=5"
+        assert lines[2:] == [f"{a},{format_decimal(a)},{a},1/2,{a},4/3" for a in points]
+
+    def test_equals_per_field_text_on_digest_grid(self):
+        grid = [F(j, 10007)
+                for j in sorted(random.Random("curve-digest").sample(range(1, 10007), 400))]
+        for n in range(2, 61):
+            for m in (None, 2, 5, 30):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    rows = curve_samples(n, grid, m)
+                lines = curve_csv(rows, n, m).splitlines()
+                assert lines[2:] == [
+                    ",".join([str(alpha), format_decimal(alpha)] + [str(x) for x in rest])
+                    for alpha, *rest in rows]
 
 
 class TestDecimalIntegerRounding:
