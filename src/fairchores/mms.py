@@ -25,7 +25,7 @@ remaining object fits into are split further (bin completion, Korf 2003),
 and a rest already proved not to beat a cutoff is not searched again.  Each
 half table keeps only the subsets that fit, with the largest object, under
 the incumbent at the call's start: no bundle the search may try or skip is
-above that line.  The effort budget still counts both tables in full.
+above that line.  The effort budget counts the entries the tables hold.
 
 Each caller gets only what it reads.  `minmax_partition` decodes its
 allocation from the search's assignment on the first read of its bundles,
@@ -85,7 +85,8 @@ def _lower_bound(items: list[int], n: int) -> int:
     return bound
 
 
-def _subsets(items: list[int], lo: int, hi: int, cap: int | None = None) -> list[int]:
+def _subsets(items: list[int], lo: int, hi: int, cap: int | None = None,
+             room: int | None = None) -> list[int]:
     """Every subset of items[lo:hi] as one key `sum << m | mask`, ascending,
     keeping only the keys below `cap` (all of them when `cap` is None).
 
@@ -93,33 +94,31 @@ def _subsets(items: list[int], lo: int, hi: int, cap: int | None = None) -> list
     taken first copy first, so ties add no duplicate multisets.  Keys of
     disjoint subsets add up to the key of their union, so a key at or above
     `cap` has no superset below it, and the table is cut as it is built.
+
+    `room`, when given, is the search's remaining budget, and the table
+    never holds more keys than it: `SearchLimitError` is raised before the
+    empty subset's key is added if it does not fit, and before each step
+    when the most keys the step can leave, the table's keys plus the keys it
+    extends, pass it.
     """
     m = len(items)
     if cap is None:
         cap = (sum(items[lo:hi]) + 1) << m
+    if room is None:
+        room = 1 << (hi - lo)  # the uncut table's length bound: never passed
+    if cap > 0 and room < 1:
+        raise SearchLimitError
     keys, added = [0] if cap > 0 else [], []
     for i in range(lo, hi):
+        source = added if i > lo and items[i] == items[i - 1] else keys
+        if len(keys) + len(source) > room:
+            raise SearchLimitError
         step = items[i] << m | 1 << i
         below = cap - step
-        added = [k + step for k in (added if i > lo and items[i] == items[i - 1] else keys)
-                 if k < below]
+        added = [k + step for k in source if k < below]
         keys += added
     keys.sort()
     return keys
-
-
-def _table_entries(items: list[int], lo: int, hi: int) -> int:
-    """len(_subsets(items, lo, hi)) without building the table: the product,
-    over the distinct values of items[lo:hi], of (copies + 1).  The count
-    stops early once it passes `MAX_SEARCH_ENTRIES`."""
-    count = added = 1
-    for i in range(lo, hi):
-        if i == lo or items[i] != items[i - 1]:
-            added = count
-        count += added
-        if count > MAX_SEARCH_ENTRIES:
-            break
-    return count
 
 
 def _sequential(items: list[int], n: int, best: int, assign: list[int] | None,
@@ -208,25 +207,26 @@ def _frame(items, n, best, assign, floor, failed, spent):
     fewer bundles.
 
     Effort: `spent[0]` counts the subset-table entries that the frames of
-    one search would build uncut.  Each frame adds its table pair, counted
-    in full, to it before building the pair, and raises `SearchLimitError`
-    when the count passes `MAX_SEARCH_ENTRIES`; the cut changes what is
-    built, not which searches are refused.
+    one search have built.  A frame builds its left table within the
+    budget's remaining room, `MAX_SEARCH_ENTRIES - spent[0]`, and its right
+    table within what the left leaves of it, then adds both lengths; a table
+    that would pass its room raises `SearchLimitError` (`_subsets`), so the
+    tables of one search never hold more than `MAX_SEARCH_ENTRIES` entries.
     """
     m, total = len(items), sum(items)
     stop = max(-(-total // n), floor)
     if best <= stop:
         return best, assign
     h = (m + 1) // 2
-    spent[0] += _table_entries(items, 1, h) + _table_entries(items, h, m)
-    if spent[0] > MAX_SEARCH_ENTRIES:
-        raise SearchLimitError
     # the window on a + r, the keys of items[1:] in the first bundle:
     # low <= a + r < high compares sums, since disjoint masks add up to
     # less than 1 << m
     high = (best - items[0]) << m
     low = (total - items[0] - (n - 1) * (best - 1)) << m
-    left, right = _subsets(items, 1, h, high), _subsets(items, h, m, high)
+    room = MAX_SEARCH_ENTRIES - spent[0]
+    left = _subsets(items, 1, h, high, room)
+    right = _subsets(items, h, m, high, room - len(left))
+    spent[0] += len(left) + len(right)
     found = split = None
     for a in reversed(left):
         lo = bisect_left(right, low - a)
@@ -304,14 +304,16 @@ def _root(v: DisutilityVector, n: int, search):
     try:
         return search(items, n, seed, assign, lower)
     except SearchLimitError:
-        # a row built in Python may hold integers too long to print
-        denom = v.denom
-        bracket = (f"[{F(lower, denom)}, {F(seed, denom)}]"
-                   if _printable(max(seed, denom)) else "too long to print")
-        raise SearchLimitError(
-            f"{len(items)} nonzero objects / {n} agents: the search needs more than "
-            f"{MAX_SEARCH_ENTRIES} subset-table entries; root bracket {bracket}"
-        ) from None
+        # raised below, outside this block, so that the refusal carries no
+        # context whose traceback would keep the search's tables alive
+        pass
+    # a row built in Python may hold integers too long to print
+    denom = v.denom
+    bracket = (f"[{F(lower, denom)}, {F(seed, denom)}]"
+               if _printable(max(seed, denom)) else "too long to print")
+    raise SearchLimitError(
+        f"{len(items)} nonzero objects / {n} agents: the search needs more than "
+        f"{MAX_SEARCH_ENTRIES} subset-table entries; root bracket {bracket}")
 
 
 def _bundles(ints: tuple[int, ...], n: int, assign: list[int]) -> tuple[frozenset[int], ...]:

@@ -2,8 +2,10 @@
 
 Each row records either the value and a sha256 of the sorted bundles that
 `minmax_partition` returns, or the exact text of the `SearchLimitError` it
-raises.  A change to the search that moves which rows the budget refuses,
-or what a row answers, shows up here.  The rows:
+raises.  An answer is recorded only once its allocation is checked: a
+partition of the row's objects into n bundles whose largest bundle carries
+the value.  A change to the search that moves which rows the budget
+refuses, or what a row answers, shows up here.  The rows:
 
 - three draws each of `gen_synthetic(m, random.Random(f"grid:{n}:{m}"))`
   at (n, m) = (2, 30), (3, 30), (5, 30), (2, 40), (3, 36), (4, 36),
@@ -52,6 +54,8 @@ def outcome(n, v) -> dict:
         value, alloc = minmax_partition(v, n)
     except SearchLimitError as exc:
         return {"error": str(exc)}
+    alloc.validate(v.m)
+    assert alloc.n == n and max(v.value_of(b) for b in alloc.bundles) == value, n
     bundles = sorted(sorted(b) for b in alloc.bundles)
     return {"value": str(value),
             "bundles": hashlib.sha256(json.dumps(bundles).encode()).hexdigest()}

@@ -20,7 +20,6 @@ from fairchores.mms import (
     _lower_bound,
     _sequential,
     _subsets,
-    _table_entries,
     exact_mms,
     fits_under,
     lex_minmax,
@@ -63,20 +62,30 @@ class TestExactMMS:
     def test_table_budget(self, monkeypatch):
         # a seeded 30-object row is searched within the table budget
         assert exact_mms(gen_synthetic(30, random.Random(2)), 2) == F(1, 2)
-        # at 48 objects the first table pair alone is over budget: the search
-        # is refused before any table is built, and the error states the
-        # root bracket
-        def no_table(*_):
-            raise AssertionError("a table was built")
+        # at 48 objects the first half table alone would pass the budget: it
+        # is stopped while it is built, never holding more keys than what is
+        # left of the budget, and the error states the root bracket
+        built, refused = [], []
 
-        monkeypatch.setattr(mms, "_subsets", no_table)
+        def recording(items, lo, hi, cap=None, room=None):
+            peak, table = traced(tables, items, lo, hi, cap, room)
+            assert peak <= mms.MAX_SEARCH_ENTRIES - sum(built)
+            if isinstance(table, SearchLimitError):
+                refused.append(sum(built))
+                raise table
+            built.append(len(table))
+            return table
+
+        tables = mms._subsets
+        monkeypatch.setattr(mms, "_subsets", recording)
         big = gen_synthetic(48, random.Random(2))
-        start = time.perf_counter()
         with pytest.raises(SearchLimitError,
                            match=r"more than 2097152 subset-table entries; "
-                                 r"root bracket \[1/2, 12504859/25000000\]$"):
+                                 r"root bracket \[1/2, 12504859/25000000\]$") as refusal:
             exact_mms(big, 2)
-        assert time.perf_counter() - start < 0.1
+        assert (built, refused) == ([], [0])
+        # the refusal keeps no context, whose traceback would hold the tables
+        assert refusal.value.__context__ is None
         # a bracket too long to print does not hide the budget's error
         huge = DisutilityVector._of_view(big.ints, big.denom * 10 ** sys.get_int_max_str_digits(),
                                          normalized=False)
@@ -89,23 +98,11 @@ class TestExactMMS:
         rng = random.Random("ties:60:8:5:1")
         v = DisutilityVector(tuple(F(7 * rng.randint(1, 8)) for _ in range(60)))
         items = sorted(v.ints, reverse=True)
-        assert _table_entries(items, 1, 30) + _table_entries(items, 30, 60) < 20_000
+        assert len(_subsets(items, 1, 30)) + len(_subsets(items, 30, 60)) < 20_000
         start = time.perf_counter()
         with pytest.raises(SearchLimitError, match="root bracket"):
             exact_mms(v, 5)
         assert time.perf_counter() - start < 30
-
-    def test_table_entries_count_the_tables(self):
-        rng = random.Random("table-entries")
-        for _ in range(3000):
-            items = sorted((rng.choice((1, 2, 3, 5, 8, 8)) for _ in range(rng.randint(1, 16))),
-                           reverse=True)
-            lo = rng.randint(0, len(items))
-            hi = rng.randint(lo, len(items))
-            assert _table_entries(items, lo, hi) == len(_subsets(items, lo, hi))
-        # a count past the budget stops there, however long the row
-        row = list(range(10 ** 4, 0, -1))
-        assert mms.MAX_SEARCH_ENTRIES < _table_entries(row, 0, len(row)) <= 2 * mms.MAX_SEARCH_ENTRIES
 
     def test_no_search_case_answered_before_table_budget(self):
         # at most n nonzero objects: one object per bundle, whatever the guard
@@ -142,8 +139,8 @@ class TestExactMMS:
             raise AssertionError("a table was built")
 
         monkeypatch.setattr(mms, "_subsets", no_table)
-        items = list(range(48, 0, -1))
-        assert _table_entries(items, 1, 24) + _table_entries(items, 24, 48) > mms.MAX_SEARCH_ENTRIES
+        # the halves hold 23 and 24 distinct objects
+        assert 2 ** 23 + 2 ** 24 > mms.MAX_SEARCH_ENTRIES
         v = DisutilityVector(tuple(F(k) for k in range(1, 49)))
         for n in (2, 3):
             val, alloc = minmax_partition(v, n)
@@ -466,7 +463,7 @@ class TestSettledReturn:
 class TestCutTables:
     """`_sequential` builds each half table cut below `best - items[0]`, the
     first bundle's room at the call's start.  A cut table is the full table
-    filtered, and the budget still counts the full pair."""
+    filtered, and the budget counts the entries of the tables built."""
 
     def test_cut_table_is_the_full_table_below_the_cap(self):
         rng = random.Random("cut-tables")
@@ -496,33 +493,99 @@ class TestCutTables:
         assert _subsets(items, 2, 6, 7 << 6) == [0, 3 << 6 | 16, 5 << 6 | 4, 6 << 6 | 48]
         assert _subsets(items, 2, 6, 1) == [0]
 
-    def test_budget_counts_the_uncut_tables(self, monkeypatch):
-        full = []
+    def test_budget_counts_the_built_tables(self, monkeypatch):
+        # `spent` adds up the tables built; and a search that starts with
+        # less budget left than its first pair needs builds the left table,
+        # and then the right one only within what the left leaves
+        built = []
 
-        def recording(items, lo, hi, cap):
+        def recording(items, lo, hi, cap, room=None):
             whole = cut(items, lo, hi)
-            full.append(len(whole))
-            table = cut(items, lo, hi, cap)
+            table = cut(items, lo, hi, cap, room)
             assert table == [k for k in whole if k < cap]
+            assert len(table) <= mms.MAX_SEARCH_ENTRIES - start - sum(built)
+            built.append(len(table))
             return table
 
         cut = mms._subsets
         monkeypatch.setattr(mms, "_subsets", recording)
         rng = random.Random("uncut-budget")
-        reached = 0
+        reached = right_refused = 0
         for _ in range(300):
             n, k = rng.randint(2, 5), rng.choice((5, 30, 1000))
             items = sorted((rng.randint(1, k) for _ in range(rng.randint(9, 14))), reverse=True)
             best, assign = _greedy_makespan(items, n)
             if best == _lower_bound(items, n):
                 continue
-            spent = [0]
-            full.clear()
+            spent, start = [0], 0
+            built.clear()
             value = _sequential(items, n, best, assign, 0, None, spent)[0]
-            assert spent[0] == sum(full)
+            assert spent[0] == sum(built)
             assert value == bnb_mms(items, n)
+            left, start = built[0], mms.MAX_SEARCH_ENTRIES - (built[0] + built[1] - 1)
+            built.clear()
+            with pytest.raises(SearchLimitError):
+                _sequential(items, n, best, assign, 0, None, [start])
+            assert built in ([], [left])
+            right_refused += built == [left]
             reached += 1
-        assert reached >= 50
+        assert reached >= 50 and right_refused >= 100
+
+    def test_room_bounds_the_table(self):
+        # given the search's remaining budget as `room`, `_subsets` returns
+        # the cut table within it or raises, and raises only when the uncut
+        # table is longer than the room; while it builds, the table never
+        # holds more keys than the room
+        rng = random.Random("table-room")
+        raised = returned = 0
+        for _ in range(1500):
+            m = rng.randint(1, 14)
+            items = sorted((rng.choice((1, 2, 3, 5, 8, 8)) for _ in range(m)), reverse=True)
+            lo = rng.randint(0, m)
+            hi = rng.randint(lo, m)
+            full = _subsets(items, lo, hi)
+            cap = rng.choice((None, 0, rng.choice(full), rng.randint(1, sum(items) + 1) << m))
+            table = [k for k in full if cap is None or k < cap]
+            for room in {0, 1, len(table) - 1, len(table), len(full) - 1, len(full),
+                         rng.randint(0, len(full))} - {-1}:
+                peak, got = traced(_subsets, items, lo, hi, cap, room)
+                assert peak <= room, (items, lo, hi, cap, room)
+                if isinstance(got, SearchLimitError):
+                    assert len(full) > room, (items, lo, hi, cap, room)
+                    raised += 1
+                else:
+                    assert got == table and len(got) <= room
+                    returned += 1
+        assert raised >= 1000 and returned >= 1000
+        # a table past the room stops there, however long the row
+        row = list(range(10 ** 4, 0, -1))
+        peak, got = traced(_subsets, row, 0, len(row), None, 2 ** 12)
+        assert isinstance(got, SearchLimitError) and peak == 2 ** 12
+
+
+def traced(build, *args):
+    """`build(*args)`, or the `SearchLimitError` it raises, with the most
+    keys its local table `keys` held while it ran, read at every line it
+    executed."""
+    peak = 0
+
+    def trace(frame, event, _):
+        nonlocal peak
+        if frame.f_code is not build.__code__:
+            return None
+        peak = max(peak, len(frame.f_locals.get("keys", ())))
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = build(*args)
+    except SearchLimitError as exc:
+        # its traceback would keep the table alive
+        result = exc.with_traceback(None)
+    finally:
+        sys.settrace(outer)
+    return peak, result
 
 
 class TestGreedySeed:
