@@ -14,9 +14,9 @@ permutation that sorted it, and walks the cheapest-first order of each agent
 who holds a position once, with one cursor.  The reports read each agent's
 alpha and cap from her row's largest integer and denominator, the cap from
 the same piece, so `allocate` reads nothing of the knife's trace.  The
-trace keeps integers: each level's alphas, caps and values are built as
-Fractions only when first read, so `allocate`, which reads none of them,
-builds none.
+trace keeps integers: each level is lazy (`core._Lazy`), its alphas, caps
+and values built as Fractions on the first read, so `allocate`, which reads
+none of them, builds none.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .core import Allocation, Instance, ValidationError, order_vector
+from .core import Allocation, Instance, ValidationError, _Lazy, order_vector
 from .mms import minmax_partition
 from .shares import _guarantee_piece, hill_share
 
@@ -48,14 +48,13 @@ class OrderedReduction:
 
 
 @dataclass(frozen=True)
-class KnifeLevel:
+class KnifeLevel(_Lazy):
     """One knife level; values are over each agent's remaining mass, her suffix [s, m).
 
-    A level that `moving_knife` builds keeps only integers per active agent
-    and computes ``alphas``, ``caps``, ``prefix_values``, ``served_value``
-    and ``bundle_costs`` as Fractions on the first read of any of them;
-    fields, ``==``, ``repr``, `dataclasses.asdict` and pickling are those of
-    a level built with every field given.
+    A level that `moving_knife` builds is lazy (`_Lazy`): it keeps only
+    integers per active agent, and ``alphas``, ``caps``, ``prefix_values``,
+    ``served_value`` and ``bundle_costs`` are built as Fractions on the
+    first read of any of them (`_level_fields`).
     """
 
     agents: tuple[int, ...]             # active agents, original indices
@@ -70,40 +69,21 @@ class KnifeLevel:
     bundle_costs: dict[int, Fraction]   # unserved agents' C_i = v_i(served bundle)
     early_exhaustion: bool              # the knife reached the end within a cap
 
-    @classmethod
-    def _of_ints(cls, agents: tuple[int, ...], level_n: int, served_agent: int,
-                 prefix_len: int, removed_position: Optional[int], early_exhaustion: bool,
-                 ints: list[tuple[int, int, int, int, int, int]]) -> KnifeLevel:
-        """A level whose lazy fields are read from ``ints``: per agent of
-        ``agents``, (x, r, cn, cd, knife-set numerator, bundle numerator),
-        every value being a numerator over r."""
-        level = cls.__new__(cls)
-        level.__dict__.update(
-            agents=agents, level_n=level_n, served_agent=served_agent,
-            prefix_len=prefix_len, removed_position=removed_position,
-            early_exhaustion=early_exhaustion, _ints=ints)
-        return level
 
-    def __getattr__(self, name):
-        # reached only for a name the instance does not hold: a lazy field
-        # of a knife-built level before the first read, or a missing name
-        ints = self.__dict__.get("_ints")
-        if ints is None or name not in _LAZY_FIELDS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        alphas, caps, prefix_values, costs = {}, {}, {}, {}
-        for i, (x, r, cn, cd, k, b) in zip(self.agents, ints):
-            alphas[i], caps[i], prefix_values[i] = _over(x, r), F(cn, cd), _over(k, r)
-            if i == self.served_agent:
-                served_value = _over(b, r)
-            elif not self.early_exhaustion:
-                costs[i] = _over(b, r)
-        self.__dict__.update(alphas=alphas, caps=caps, prefix_values=prefix_values,
-                             served_value=served_value, bundle_costs=costs)
-        self.__dict__.pop("_ints", None)
-        return self.__dict__[name]
-
-
-_LAZY_FIELDS = frozenset({"alphas", "caps", "prefix_values", "served_value", "bundle_costs"})
+def _level_fields(agents: tuple[int, ...], served_agent: int, early_exhaustion: bool,
+                  ints: list[tuple[int, int, int, int, int, int]]) -> dict:
+    """A knife-built level's five Fraction fields, read from ``ints``: per
+    agent of ``agents``, (x, r, cn, cd, knife-set numerator, bundle
+    numerator), every value being a numerator over r."""
+    alphas, caps, prefix_values, costs = {}, {}, {}, {}
+    for i, (x, r, cn, cd, k, b) in zip(agents, ints):
+        alphas[i], caps[i], prefix_values[i] = _over(x, r), F(cn, cd), _over(k, r)
+        if i == served_agent:
+            served_value = _over(b, r)
+        elif not early_exhaustion:
+            costs[i] = _over(b, r)
+    return {"alphas": alphas, "caps": caps, "prefix_values": prefix_values,
+            "served_value": served_value, "bundle_costs": costs}
 
 
 def _over(a: int, r: int) -> Fraction:
@@ -154,7 +134,7 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
     prefix[s] + floor(r*cn/cd).  Each level of the trace keeps these
     integers, x, r, (cn, cd) and the numerators of the knife set and of the
     served bundle, per active agent; its alphas, caps and values become
-    Fractions on the first read (see `KnifeLevel`).
+    Fractions on the first read (`core._Lazy`, `_level_fields`).
     """
     n, m = ordered.n, ordered.m
     prefix = [list(accumulate(row.ints, initial=0)) for row in ordered.profile]
@@ -185,8 +165,11 @@ def moving_knife(ordered: Instance) -> tuple[Allocation, KnifeTrace]:
         t = min(t, m - s)
         ints = [(*read, prefix[i][s + t] - prefix[i][s], prefix[i][end] - prefix[i][s])
                 for i, read in zip(active, reads)]
-        levels.append(KnifeLevel._of_ints(tuple(active), n_, served, t,
-                                          None if early else end, early, ints))
+        agents = tuple(active)
+        levels.append(KnifeLevel._lazy(
+            {"agents": agents, "level_n": n_, "served_agent": served, "prefix_len": t,
+             "removed_position": None if early else end, "early_exhaustion": early},
+            _level_fields, agents, served, early, ints))
         bundles[served] = frozenset(range(s, end))
         active.remove(served)
         s = end

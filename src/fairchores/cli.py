@@ -41,7 +41,6 @@ from .shares import guarantee, hill_share, mms_lower_bound, witness_lower, witne
 
 F = Fraction
 MAX_CURVE_POINTS = 10 ** 5  # largest `experiment curve --points`
-MAX_AGENTS = 10 ** 5  # largest `mms` and `experiment ratios` --n
 MAX_SYNTHETIC_OBJECTS = 10 ** 4  # largest `experiment synthetic` --m
 
 
@@ -187,14 +186,7 @@ def _witness(args: argparse.Namespace) -> None:
     )), args.out)
 
 
-def _check_agents(n: int) -> None:
-    # the oracle builds n bundles whatever the row, about 0.46 KiB each
-    if n > MAX_AGENTS:
-        raise ValidationError(f"--n {n} is more than {MAX_AGENTS}")
-
-
 def _mms(args: argparse.Namespace) -> None:
-    _check_agents(args.n)
     inst = read_instance_csv(args.instance)
     if not 1 <= args.agent <= inst.n:
         raise ValidationError(f"agent {args.agent} out of range 1..{inst.n}")
@@ -258,7 +250,6 @@ def _curve(args: argparse.Namespace) -> None:
 
 
 def _ratios(args: argparse.Namespace) -> None:
-    _check_agents(args.n)
     inst = read_instance_csv(args.instance)
     for i, row in enumerate(inst.profile, start=1):
         # Let D be the row's common denominator and alpha = p/q, so q divides

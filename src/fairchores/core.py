@@ -222,36 +222,48 @@ class Instance:
         return self.profile[0].m
 
 
+class _Lazy:
+    """Base of a dataclass whose costly fields are built on first read.
+
+    An instance made by `_lazy(given, build, *args)` holds the fields in the
+    dict ``given`` and ``(build, args)``.  The first read of any other field
+    calls ``build(*args)``, which returns the dict of the fields left, and
+    keeps them; no build state survives it.  Before and after that read,
+    ``==``, ``hash``, ``repr``, `dataclasses.asdict`/`replace`, copying and
+    pickling are those of the instance built with every field given, and
+    any name that is not a field raises the standard AttributeError.
+    """
+
+    @classmethod
+    def _lazy(cls, given: dict, build, *args):
+        obj = cls.__new__(cls)
+        held = obj.__dict__
+        held.update(given)
+        held["_build"] = build, args
+        return obj
+
+    def __getattr__(self, name):
+        # reached only for a name the instance does not hold: a lazy field
+        # before the first read, or a missing name
+        held = self.__dict__
+        if "_build" not in held or name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        build, args = held["_build"]
+        held.update(build(*args))
+        del held["_build"]
+        return held[name]
+
+
 @dataclass(frozen=True)
-class Allocation:
+class Allocation(_Lazy):
     """A partition of object indices [0, m) into n (possibly empty) bundles.
 
-    An allocation made by `_lazy(build)`, as `minmax_partition` makes its
-    own, holds only ``build`` and calls it on the first read of ``bundles``,
-    so a caller that reads only the value builds no bundles.  Before and
-    after that read, ``==``, ``hash``, ``repr``, ``n``, ``validate``,
-    `dataclasses.asdict`/`replace`, copying and pickling are those of an
-    allocation built with its bundles given.
+    `minmax_partition` makes its allocation lazy (`_Lazy`): the bundles are
+    built on their first read, so a caller that reads only the value builds
+    none.
     """
 
     bundles: tuple[frozenset[int], ...]
-
-    @classmethod
-    def _lazy(cls, build) -> Allocation:
-        """An allocation whose bundles are ``build()``, called on first read."""
-        alloc = cls.__new__(cls)
-        alloc.__dict__["_build"] = build
-        return alloc
-
-    def __getattr__(self, name):
-        # reached only for a name the instance does not hold: the bundles of
-        # a lazy allocation before the first read, or a missing name
-        build = self.__dict__.get("_build")
-        if build is None or name != "bundles":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__["bundles"] = bundles = build()
-        self.__dict__.pop("_build", None)
-        return bundles
 
     @property
     def n(self) -> int:

@@ -27,9 +27,10 @@ half table keeps only the subsets that fit, with the largest object, under
 the incumbent at the call's start: no bundle the search may try or skip is
 above that line.  The effort budget counts the entries the tables hold.
 
-Each caller gets only what it reads.  `minmax_partition` decodes its
-allocation from the search's assignment on the first read of its bundles,
-so `exact_mms`, which reads only the value, builds no bundles.
+Each caller gets only what it reads.  `minmax_partition`'s allocation is
+lazy (`core._Lazy`): its bundles are decoded from the search's assignment
+on their first read, so `exact_mms`, which reads only the value, builds no
+bundles.
 `fits_under` asks only whether a partition at or below its threshold
 exists: the seed or the root bound may answer it, and otherwise the search
 stops at the first such partition.
@@ -40,7 +41,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 
 from .core import Allocation, DisutilityVector, ValidationError, _printable, as_fraction
@@ -290,16 +290,20 @@ def _root(v: DisutilityVector, n: int, search):
     bound `_lower_bound`; its result, or the one refusal text.
 
     Zero-disutility objects never affect the optimum, so they are cut before
-    the search.  A search that would build more than `MAX_SEARCH_ENTRIES`
-    subset-table entries, its sub-calls included, raises `SearchLimitError`
-    with the root bracket [lower, seed].
+    the search.  The seed runs over at most one bundle per nonzero object:
+    at n at or above their count the greedy puts each object alone in a
+    bundle either way, so the seed is the largest object, which the root
+    bound meets, and the search returns at once however large n is.  A
+    search that would build more than `MAX_SEARCH_ENTRIES` subset-table
+    entries, its sub-calls included, raises `SearchLimitError` with the root
+    bracket [lower, seed].
     """
     if n < 1:
         raise ValidationError("need n >= 1")
     ints = v.ints
     items = sorted(ints, reverse=True)
     del items[len(ints) - ints.count(0):]
-    seed, assign = _greedy_makespan(items, n)
+    seed, assign = _greedy_makespan(items, n if n <= len(items) else len(items) or 1)
     lower = _lower_bound(items, n)
     try:
         return search(items, n, seed, assign, lower)
@@ -316,17 +320,17 @@ def _root(v: DisutilityVector, n: int, search):
         f"{MAX_SEARCH_ENTRIES} subset-table entries; root bracket {bracket}")
 
 
-def _bundles(ints: tuple[int, ...], n: int, assign: list[int]) -> tuple[frozenset[int], ...]:
-    """The bundles of the search's assignment: the objects in the search's
-    order (descending, ties by index), the nonzero ones to their bundles in
-    `assign` and the zeros to the first bundle."""
+def _bundles(ints: tuple[int, ...], n: int, assign: list[int]) -> dict:
+    """The field ``bundles`` of the search's assignment: the objects in the
+    search's order (descending, ties by index), the nonzero ones to their
+    bundles in `assign` and the zeros to the first bundle."""
     order = sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
     cut = len(ints) - ints.count(0)
     bundles = [set() for _ in range(n)]
     for pos, b in enumerate(assign):
         bundles[b].add(order[pos])
     bundles[0].update(order[cut:])
-    return tuple([frozenset(b) for b in bundles])
+    return {"bundles": tuple([frozenset(b) for b in bundles])}
 
 
 def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]:
@@ -340,12 +344,12 @@ def minmax_partition(v: DisutilityVector, n: int) -> tuple[Fraction, Allocation]
     nest n - 1 calls deep; they run on an explicit stack, so that depth is
     no limit.  The refusal is `_root`'s.
 
-    The allocation is decoded from the search's assignment on the first
-    read of its bundles (`Allocation._lazy`, `_bundles`), so a caller that
+    The allocation is lazy (`core._Lazy`): its bundles are decoded from the
+    search's assignment by `_bundles` on their first read, so a caller that
     reads only the value, as `exact_mms` does, builds no bundles.
     """
     opt, assign = _root(v, n, _sequential)
-    return F(opt, v.denom), Allocation._lazy(partial(_bundles, v.ints, n, assign))
+    return F(opt, v.denom), Allocation._lazy({}, _bundles, v.ints, n, assign)
 
 
 def exact_mms(v: DisutilityVector, n: int) -> Fraction:

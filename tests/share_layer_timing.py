@@ -24,6 +24,11 @@ read included, as `read_instance_csv_3x18` and so on.
 `curve_csv` is timed per row on the rows that the tree's `curve_samples`
 gives for that grid, as `curve_csv_per_row`.
 
+`allocate` is timed per instance on the `allocate` workload's seed-1 pool
+(`perfbench.workloads.Allocate().items(1, 48)`: 4x175 and 12x90
+instances, alternating), each tree normalising the pool's rows itself, as
+`allocate_per_instance`.
+
 Every tree runs in one process: each tree's package is imported under a
 name of its own (`fairchores_tree0`, `fairchores_tree1`, ...), so several
 versions sit side by side.  A pass times each layer on every tree back to
@@ -79,9 +84,9 @@ def load(tree: Path, name: str):
 def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
     """(run, count) per timed layer of an imported package: one call of run
     is one pass, and count is how many points, rows or calls it makes."""
-    core, experiments, mms, shares = (package.core, package.experiments,
-                                      package.mms, package.shares)
-    from perfbench.workloads import MMS_MAX_AGENTS, Cli, share_queries
+    allocator, core, experiments, mms, shares = (
+        package.allocator, package.core, package.experiments, package.mms, package.shares)
+    from perfbench.workloads import MMS_MAX_AGENTS, Allocate, Cli, share_queries
 
     points = grid()
     pairs = [(a.numerator, a.denominator) for a in points]
@@ -90,6 +95,8 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
     rows = [(build(n, a, m).vector, n) for n, a, m in queries
             for build in (shares.witness_upper, shares.witness_lower)]
     curves = [(experiments.curve_samples(n, points), n) for n in ns]
+    workload = Allocate()
+    pool = [core.normalize(raw) for raw, _ in workload.items(1, workload.pool_size)]
 
     def curve():
         for n in ns:
@@ -129,6 +136,10 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
                 share_piece(n, p, q, m)
         return run
 
+    def allocate():
+        for inst in pool:
+            allocator.allocate(inst)
+
     def reads(path):
         def run():
             for _ in range(READS):
@@ -150,6 +161,7 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
             "exact_mms_on_witness_rows": (certify, len(rows)),
             "_upper_piece": (pieces(shares._upper_piece), len(queries)),
             "_lower_piece": (pieces(shares._lower_piece), len(queries)),
+            "allocate_per_instance": (allocate, len(pool)),
             **{name: (reads(path), READS) for name, path in files.items()}}
 
 
@@ -186,13 +198,16 @@ def main(argv=None) -> int:
     passes, max_n = QUICK if args.quick else (PASSES, MAX_N)
     trees = args.src or [SRC]
     print(json.dumps({
-        "unit": "microseconds; curve_samples per grid point, curve_csv per row, the rest per call",
+        "unit": "microseconds; curve_samples per grid point, curve_csv per row, allocate "
+                "per instance, the rest per call",
         "grid": f"{GRID_POINTS} points j/{LATTICE} from random.Random('bounds:1'), n = 2..{max_n}",
         "witnesses": "perfbench.workloads.share_queries(n) for the n above that the bounds "
                      "workload certifies (n <= MMS_MAX_AGENTS); exact_mms per row, both "
                      "rows of every query",
         "files": "read_instance_csv on perfbench.workloads.Cli(...).items(1, 9)'s three "
                  "instance files, file read included",
+        "allocate": "allocate per instance on perfbench.workloads.Allocate().items(1, 48), "
+                    "normalised by each tree",
         "method": f"best of {passes} passes per tree, every tree imported side by side "
                   "in one process, each layer timed on the trees back to back in "
                   "alternating order",

@@ -28,7 +28,7 @@ from fairchores.core import (
     normalize,
 )
 from fairchores.experiments import gen_synthetic
-from fairchores.mms import exact_mms
+from fairchores.mms import exact_mms, minmax_partition
 from fairchores.shares import guarantee, hill_share, witness_upper
 
 from oracles import naive_knife, naive_lift, reference_guarantee
@@ -538,6 +538,31 @@ class TestLazyTrace:
         monkeypatch.undo()
         for inst, (alloc, report) in zip(insts, outs):
             assert report.agents == agent_reports(inst, alloc)
+
+
+def lazy_makers():
+    """Makers of fresh lazy instances: a minmax-built allocation and every
+    knife-built level of `TestLazyTrace`'s corpus."""
+    v = gen_synthetic(16, random.Random("histogram:1:1"))
+    yield pytest.param(lambda: minmax_partition(v, 3)[1], id="allocation")
+    for k, ordered in enumerate(TestLazyTrace._ordered()):
+        for j in range(len(TestLazyTrace._levels(ordered))):
+            yield pytest.param(lambda ordered=ordered, j=j: TestLazyTrace._levels(ordered)[j],
+                               id=f"level-{k}-{j}")
+
+
+@pytest.mark.parametrize("make", list(lazy_makers()))
+def test_no_build_state_survives_the_first_read(make):
+    # whichever lazy field is read first, the instance then holds exactly
+    # what the instance built with every field given holds
+    fresh = make()
+    eager = type(fresh)(**{f.name: getattr(fresh, f.name) for f in dataclasses.fields(fresh)})
+    lazy = [f.name for f in dataclasses.fields(eager) if f.name not in vars(make())]
+    assert lazy
+    for name in lazy:
+        x = make()
+        getattr(x, name)
+        assert vars(x) == vars(eager), name
 
 
 class TestRowCheck:

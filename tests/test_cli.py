@@ -377,18 +377,6 @@ class TestInputChecks:
                                  "--points", points)
             assert code == 2 and out == "" and "--points" in err, err
 
-    def test_agents_capped(self, capsys, monkeypatch, tmp_path):
-        def unreached(*_):
-            raise AssertionError("row read or searched before --n was checked")
-        for name in ("read_instance_csv", "exact_mms", "instance_ratio"):
-            monkeypatch.setattr(f"fairchores.cli.{name}", unreached)
-        inst = tmp_path / "i.csv"
-        inst.write_text("object_1,object_2,object_3\n1/2,3/10,1/5\n")
-        for cmd in (("mms",), ("experiment", "ratios")):
-            for n in ("10000000", "100001"):
-                code, out, err = run(capsys, *cmd, "--instance", str(inst), "--n", n)
-                assert (code, out, err) == (2, "", f"error: --n {n} is more than 100000\n")
-
     def test_synthetic_objects_capped(self, capsys, monkeypatch):
         def no_draw(*_):
             raise AssertionError("row drawn before --m was checked")
@@ -451,6 +439,19 @@ class TestAtScale:
                         + ",".join(["3"] * 4 + ["2"] * (m - 4)) + "\n")
         code, out, err = run(capsys, "mms", "--instance", str(inst), "--n", "1000")
         assert (code, out, err) == (0, "1/1000 (0.001)\n", "")
+
+    def test_agents_past_the_object_count(self, capsys, tmp_path):
+        # at n at or above the object count the MMS is the largest object,
+        # answered at the root whatever n is: no bundle per agent is built
+        inst = tmp_path / "i.csv"
+        inst.write_text("object_1,object_2,object_3\n1/2,3/10,1/5\n")
+        code, out, err = run(capsys, "mms", "--instance", str(inst), "--n", "10000000")
+        assert (code, out, err) == (0, "1/2 (0.5)\n", "")
+        code, out, err = run(capsys, "experiment", "ratios", "--instance", str(inst),
+                             "--n", "10000000")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["n,m,alpha,hill_share,mms,ratio",
+                                        "10000000,3,1/2,1/2,1/2,1"]
 
 
 @pytest.mark.parametrize("argv, flag", [

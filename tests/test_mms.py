@@ -602,6 +602,28 @@ class TestGreedySeed:
                 assert (value, assign) == lpt_seed(items, n), (items, n)
 
 
+class TestManyAgents:
+    """At n at or above the nonzero object count the greedy puts each object
+    alone in a bundle, so `_root` seeds over at most one bundle per object
+    and the search answers the largest object at once, however large n is."""
+
+    def test_seed_over_one_bundle_per_object(self):
+        rng = random.Random("many agents")
+        for _ in range(200):
+            items = sorted((rng.randint(1, 9) for _ in range(rng.randint(1, 12))), reverse=True)
+            for n in range(len(items), len(items) + 3):
+                assert _greedy_makespan(items, n) == (items[0], list(range(len(items))))
+
+    def test_huge_n_answers_the_largest_object(self):
+        v, n = vec("1/2", "3/10", 0, "1/5"), 10 ** 12
+        assert exact_mms(v, n) == F(1, 2)
+        assert fits_under(v, n, F(1, 2)) and not fits_under(v, n, F(49, 100))
+        assert exact_mms(vec(0, 0), n) == 0 and fits_under(vec(0, 0), n, 0)
+        assert minmax_partition(v, 6)[1].bundles == (
+            frozenset({0, 2}), frozenset({1}), frozenset({3}), frozenset(), frozenset(),
+            frozenset())
+
+
 class TestFailedRests:
     """The table that the sub-calls of one search share: an entry
     `(bundles, *rest) -> c` says that rest has no partition into that many
