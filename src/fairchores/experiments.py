@@ -6,9 +6,10 @@ of 10**9, so segment lengths sum to exactly 1 and the integer MMS solver
 applies directly.  The share curves sweep their grid over the bounds' piece
 records (see shares): `curve_samples` answers a point on the top range,
 where every bound is alpha itself, with one cross-multiplication and before
-its bracket; it builds each other bracket's records once per call, and each
-point there takes its three pieces from them.  `curve_csv` writes alpha's
-text once per row.
+its bracket; it builds each other bracket's three records once per call and
+reads them as they are stored, each point taking its three pieces from
+them and each constant's Fraction from a table that lives for the call.
+`curve_csv` writes alpha's text once per row.
 """
 
 from __future__ import annotations
@@ -122,25 +123,6 @@ def run_histogram(cfg: ExperimentConfig) -> RatioHistogram:
     return RatioHistogram(tuple(records))
 
 
-def _curve_record(n: int, k: int, m, constants: dict) -> tuple:
-    """What curve_samples reads for bracket k below the top range: the upper
-    and lower pieces as (start_num, start_den, strict, x, y, z, c), with c
-    the constant x/y's Fraction or None; and the guarantee's IV start, IV
-    coefficient and NI constant's Fraction.  Constant Fractions are kept in
-    ``constants``, one per value."""
-    def shared(x, y):
-        c = constants.get((x, y))
-        if c is None:
-            c = constants[x, y] = F(x, y)
-        return c
-
-    ups, los = ([(sn, sd, strict, x, y, z, None if z else shared(x, y))
-                 for sn, sd, strict, _, x, y, z, *_ in pieces]
-                for pieces in (_upper_pieces(n, k, m), _lower_pieces(n, k, m)))
-    gsn, gsd, gstrict, cn, cd, c = _guarantee_pieces(n, k)
-    return ups, los, gsn, gsd, gstrict, c, shared(cn, cd)
-
-
 def curve_samples(n: int, grid, m=None) -> list[tuple]:
     """Rows (alpha, delta_upper, delta_lower, guarantee, ratio) for plotting.
 
@@ -157,13 +139,15 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
     bounds' top pieces.  Any other point's bracket k is one integer
     division of its p and q.  The first point in a bracket builds the
     bracket's three piece records (shares._upper_pieces and _lower_pieces,
-    core._guarantee_pieces), kept for this call only; every point takes from
-    each record the piece that holds it and evaluates the piece's integer
-    form.  Every field is a Fraction, and one is built only for a value not
-    already held: the upper and lower values reuse alpha where they equal
-    it, a constant piece (1/n, the guarantee's NI piece) gives one Fraction
-    per call, the guarantee reuses the upper value, and the ratio one
-    shared 1 where the two bounds meet.
+    core._guarantee_pieces) and its NI constant's Fraction, kept for this
+    call only; every point reads each record as it is stored, takes the
+    piece that holds it and evaluates the piece's integer form.  Every field
+    is a Fraction, and one is built only for a value not already held: the
+    upper and lower values reuse alpha where they equal it, a constant
+    upper or lower piece (such as 1/n) takes its Fraction from a table kept
+    for this call, keyed by the piece's two integers, the guarantee reuses
+    the upper value or the bracket's NI Fraction, and the ratio one shared
+    1 where the two bounds meet.
     """
     if n < 2:
         raise DomainError("need an integer agent count n >= 2")
@@ -195,20 +179,30 @@ def curve_samples(n: int, grid, m=None) -> list[tuple]:
         k = (q - p) // (n * p)  # core._bracket_k
         record = brackets.get(k)
         if record is None:
-            record = brackets[k] = _curve_record(n, k, m, constants)
-        ups, los, gsn, gsd, gstrict, gc, g = record
-        for sn, sd, strict, un, ud, uz, up in ups:
+            gs = _guarantee_pieces(n, k)
+            record = brackets[k] = (_upper_pieces(n, k, m), _lower_pieces(n, k, m),
+                                    gs, F(gs[3], gs[4]))
+        ups, los, (gsn, gsd, gstrict, _, _, gc), g = record
+        for sn, sd, strict, _, un, ud, uz, _, _ in ups:
             if p * sd - q * sn >= strict:
                 break
         if uz:
             un, ud = un * p + ud * q, uz * q
             up = alpha if un * q == ud * p else F(un, ud)
-        for sn, sd, strict, ln, ld, lz, lo in los:
+        else:  # a constant: one Fraction per value and call
+            up = constants.get((un, ud))
+            if up is None:
+                up = constants[un, ud] = F(un, ud)
+        for sn, sd, strict, _, ln, ld, lz, _, _ in los:
             if p * sd - q * sn >= strict:
                 break
         if lz:
             ln, ld = ln * p + ld * q, lz * q
             lo = alpha if ln * q == ld * p else F(ln, ld)
+        else:
+            lo = constants.get((ln, ld))
+            if lo is None:
+                lo = constants[ln, ld] = F(ln, ld)
         if p * gsd - q * gsn >= gstrict:  # IV: c * alpha; else NI's constant
             gn = gc * p
             g = up if gn * ud == un * q else F(gn, q)

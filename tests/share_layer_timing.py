@@ -8,6 +8,12 @@ workload's seed-1 grid (400 points j/10007, drawn by
 `hill_share`, `mms_lower_bound`, `guarantee` and `shares._guarantee_piece`
 on the same (n, alpha) points; `_guarantee_piece`, which the moving knife
 calls once per agent per level, is given alpha's numerator and denominator.
+Two more curve figures show what that grid's average hides:
+`curve_samples_per_below_top_point` is per point on the grid's points
+below 2/(n+1), the top range's start, where each point reads its bracket's
+records; `curve_samples_dense_per_point` is per point on the `experiment
+curve --points 2000` grid (alpha = j/2001) at n = 2, 5 and 30 with m = None
+and 30, skip warnings silenced and a skipped point counted too.
 
 The certification half of `bounds` is timed per call on that workload's
 share queries (`perfbench.workloads.share_queries`, n = 2..10): both
@@ -52,6 +58,7 @@ import random
 import sys
 import tempfile
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +66,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GRID_POINTS = 400
 LATTICE = 10007
+DENSE_POINTS, DENSE_NS, DENSE_MS = 2000, (2, 5, 30), (None, 30)
 PASSES, MAX_N = 60, 60
 READS = 20  # file reads per timed pass
 QUICK = 1, 4  # passes and largest n of a --quick run
@@ -91,6 +99,8 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
     points = grid()
     pairs = [(a.numerator, a.denominator) for a in points]
     count = len(ns) * len(points)
+    below = [(n, [a for a in points if a < Fraction(2, n + 1)]) for n in ns]
+    dense = [Fraction(j, DENSE_POINTS + 1) for j in range(1, DENSE_POINTS + 1)]
     queries = [(n, a, m) for n in ns if n <= MMS_MAX_AGENTS for a, m in share_queries(n)]
     rows = [(build(n, a, m).vector, n) for n, a, m in queries
             for build in (shares.witness_upper, shares.witness_lower)]
@@ -101,6 +111,17 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
     def curve():
         for n in ns:
             experiments.curve_samples(n, points)
+
+    def curve_below():
+        for n, below_points in below:
+            experiments.curve_samples(n, below_points)
+
+    def curve_dense():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n in DENSE_NS:
+                for m in DENSE_MS:
+                    experiments.curve_samples(n, dense, m)
 
     def csv():
         for curve_rows, n in curves:
@@ -151,6 +172,9 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
     files = {f"read_instance_csv_{n}x{m}": tmp / f"inst_{n}x{m}.csv" for n, m in cli.shapes}
 
     return {"curve_samples_per_point": (curve, count),
+            "curve_samples_per_below_top_point": (curve_below, sum(len(b) for _, b in below)),
+            "curve_samples_dense_per_point":
+                (curve_dense, len(DENSE_NS) * len(DENSE_MS) * len(dense)),
             "curve_csv_per_row": (csv, count),
             "hill_share": (calls(shares.hill_share), count),
             "mms_lower_bound": (calls(shares.mms_lower_bound), count),
@@ -200,7 +224,10 @@ def main(argv=None) -> int:
     print(json.dumps({
         "unit": "microseconds; curve_samples per grid point, curve_csv per row, allocate "
                 "per instance, the rest per call",
-        "grid": f"{GRID_POINTS} points j/{LATTICE} from random.Random('bounds:1'), n = 2..{max_n}",
+        "grid": f"{GRID_POINTS} points j/{LATTICE} from random.Random('bounds:1'), n = 2..{max_n}; "
+                "below-top: its points below 2/(n+1)",
+        "dense": f"{DENSE_POINTS} points j/{DENSE_POINTS + 1}, n in {list(DENSE_NS)}, "
+                 f"m in {list(DENSE_MS)}",
         "witnesses": "perfbench.workloads.share_queries(n) for the n above that the bounds "
                      "workload certifies (n <= MMS_MAX_AGENTS); exact_mms per row, both "
                      "rows of every query",

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from fairchores import experiments
-from fairchores.core import DisutilityVector, ValidationError, format_decimal
+from fairchores.core import (
+    DisutilityVector,
+    ValidationError,
+    classify_guarantee,
+    format_decimal,
+)
 from fairchores.experiments import (
     ExperimentConfig,
     RatioHistogram,
@@ -252,14 +257,37 @@ class TestTopRange:
 
         # every top-range point is answered without a bracket record
         built = []
-        record = experiments._curve_record
-        monkeypatch.setattr(experiments, "_curve_record",
-                            lambda *args: built.append(args[1]) or record(*args))
+        pieces = experiments._upper_pieces
+        monkeypatch.setattr(experiments, "_upper_pieces",
+                            lambda n, k, m: built.append(k) or pieces(n, k, m))
         assert self.run(n, [row[0] for row in top], m) == (top, [])
         assert built == []
         below = [row[0] for row in rows if row[0] < F(2, n + 1)]
         assert self.run(n, below, m)[0] == rows[:len(below)]
         assert len(built) == len(set(built)) and bool(built) == bool(below)
+
+
+class TestSharedConstants:
+    """A constant value is one Fraction per curve_samples call: the lower
+    bound's 1/n in every bracket, and each bracket's NI constant."""
+
+    @pytest.mark.parametrize("n", [2, 5, 60])
+    def test_one_object_per_constant(self, n):
+        rng = random.Random("bounds:1")  # the bounds benchmark workload's seed-1 grid
+        grid = [F(j, 10007) for j in sorted(rng.sample(range(1, 10007), 400))]
+        rows = curve_samples(n, grid)
+        lows = [lo for alpha, _, lo, _, _ in rows if alpha <= F(1, n)]
+        assert lows and all(lo == F(1, n) for lo in lows)
+        assert len({id(lo) for lo in lows}) == 1
+
+        ni = {}
+        for alpha, _, _, g, _ in rows:
+            region = classify_guarantee(n, alpha)
+            if region.tag == "NI":
+                ni.setdefault(region.k, []).append(g)
+        assert sum(len(gs) > 1 for gs in ni.values()) >= 2
+        for gs in ni.values():
+            assert len({id(g) for g in gs}) == 1
 
 
 class TestCurveCsvText:
