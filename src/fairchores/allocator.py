@@ -112,7 +112,7 @@ class AllocationReport:
 
 
 def reduce_to_ordered(inst: Instance) -> OrderedReduction:
-    # unpacked from a list, not an iterator: see core.DisutilityVector.__init__
+    # unpacked from a list, not an iterator: see core.DisutilityVector._fill
     ordered_rows, perms = zip(*[order_vector(v) for v in inst.profile])
     return OrderedReduction(Instance(ordered_rows), perms)
 

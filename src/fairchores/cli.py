@@ -284,6 +284,10 @@ def main(argv=None) -> int:
     except (SearchLimitError, OSError, ValueError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a MemoryError has no message; exit 1 is left to a guarantee violation
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

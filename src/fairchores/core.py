@@ -18,7 +18,10 @@ are read by one rule, `_ratio`: ASCII text `digits`, `digits/digits`,
 int() and one gcd, and every other form through `Fraction`, so a row is
 built from its cells with no `Fraction` per cell.  An instance file reads
 each distinct cell text once (`parse_instance_csv`), and a row is built
-from its integer pairs and normalised in one step (`_fill_pairs`).
+from its integer pairs and normalised in one step (`_normalized`).  Besides
+`DisutilityVector.__init__`, a row has one constructor,
+`DisutilityVector._of`, for a row already in lowest terms; every other
+construction goes through it, and `_fill` validates every row once.
 """
 
 from __future__ import annotations
@@ -117,15 +120,18 @@ class DisutilityVector:
     """One agent's additive disutilities over m objects, stored as integers.
 
     Entry j is ``ints[j] / denom``, with ``denom`` the least common
-    denominator of the entries, so equal rows have equal fields.  Every
-    constructor leaves a row in lowest terms: this one, `_of_view`,
-    `order_vector` and `shares._witness`, which reduces its two-valued row
-    in closed form.  The constructor reads each entry as `as_fraction`
-    does, through `_ratio`: Fractions, ints and plain ASCII text (`7`,
-    `7/20`, `0.35`, `.35`) as integer pairs, with no Fraction built.  The
-    constructor, `normalize` and `parse_instance_csv` all build a row from
-    such pairs with `_fill_pairs`, which also normalises it, so a row is
-    filled and validated once.
+    denominator of the entries, so equal rows have equal fields.  There are
+    two constructors: this one, and `_of`, which takes a row already in
+    lowest terms as it is.  Every other construction goes through `_of`:
+    `_of_view` after one gcd pass, `normalize` and `parse_instance_csv`
+    after dividing by the total (`_normalized`), `order_vector`, whose
+    permutation keeps lowest terms, and `shares._witness`, which reduces
+    its two-valued row in closed form.  This constructor reads each entry
+    as `as_fraction` does, through `_ratio`: Fractions, ints and plain
+    ASCII text (`7`, `7/20`, `0.35`, `.35`) as integer pairs, with no
+    Fraction built, and puts the pairs over their least common denominator
+    (`_over_lcm`), as `_normalized` does.  Both constructors fill the row
+    with `_fill`, so a row is filled and validated once.
     ``normalized`` is True when the entries sum to exactly 1; an all-zero
     row produced by normalising a zero-total agent carries False.
     """
@@ -135,35 +141,27 @@ class DisutilityVector:
     normalized: bool
 
     def __init__(self, values: Iterable, normalized: bool = False):
-        self._fill_pairs([_ratio(x) for x in values], normalized)
+        self._fill(*_over_lcm([_ratio(x) for x in values]), normalized)
 
-    # tuple([...]), not tuple(generator): a tuple built from an iterator of
-    # unknown length is resized, which fills CPython's per-size free lists
-    def _fill_pairs(self, pairs: list[tuple[int, int]], normalized: bool,
-                    normalize: bool = False) -> None:
-        """Fill the row from (numerator, denominator) pairs over their least
-        common denominator.  With ``normalize`` the row is divided by its
-        total in the same step (one gcd pass) and flagged normalized; a
-        zero-total row is kept as it is.  One `_fill`, so one validation."""
-        denom = math.lcm(*{d for _, d in pairs})
-        ints = [a * (denom // d) for a, d in pairs]
-        if normalize and (total := sum(ints)):
-            g = math.gcd(total, *ints)
-            if g != 1:
-                ints = [x // g for x in ints]
-            denom, normalized = total // g, True
-        self._fill(tuple(ints), denom, normalized)
+    @classmethod
+    def _of(cls, ints: Sequence[int], denom: int, normalized: bool) -> DisutilityVector:
+        """The row ``ints[j] / denom`` as given: the caller has put it in
+        lowest terms, and no gcd pass is run.  `_fill` validates it."""
+        row = cls.__new__(cls)
+        row._fill(ints, denom, normalized)
+        return row
 
     @classmethod
     def _of_view(cls, ints: Sequence[int], denom: int, normalized: bool) -> DisutilityVector:
         """The row ``ints[j] / denom``, reduced by one gcd pass."""
         g = math.gcd(denom, *ints)
-        row = cls.__new__(cls)
-        row._fill(tuple([x // g for x in ints]), denom // g, normalized)
-        return row
+        return cls._of([x // g for x in ints], denom // g, normalized)
 
-    def _fill(self, ints: tuple[int, ...], denom: int, normalized: bool) -> None:
-        object.__setattr__(self, "ints", ints)
+    # callers pass a list (or a tuple, which tuple() keeps as it is), never
+    # a generator: a tuple built from an iterator of unknown length is
+    # resized, which fills CPython's per-size free lists
+    def _fill(self, ints: Sequence[int], denom: int, normalized: bool) -> None:
+        object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "normalized", normalized)
         self.__post_init__()
@@ -179,10 +177,6 @@ class DisutilityVector:
         """The entries as Fractions, one built per distinct entry."""
         fracs = {x: Fraction(x, self.denom) for x in set(self.ints)}
         return tuple([fracs[x] for x in self.ints])
-
-    def scaled(self) -> tuple[list[int], int]:
-        """(ints, d) with d the least common denominator and values[j] == ints[j]/d."""
-        return list(self.ints), self.denom
 
     @property
     def m(self) -> int:
@@ -296,12 +290,24 @@ def normalize(raw: Sequence[Sequence]) -> Instance:
     return Instance(tuple([_normalized([_ratio(x) for x in r]) for r in raw]))
 
 
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(ints, denom): the (numerator, denominator) pairs over their least
+    common denominator, so each pair is ``ints[j] / denom``."""
+    denom = math.lcm(*{d for _, d in pairs})
+    return [a * (denom // d) for a, d in pairs], denom
+
+
 def _normalized(pairs: list[tuple[int, int]]) -> DisutilityVector:
-    """The row of (numerator, denominator) pairs divided by its total; a
-    zero-total row is kept as it is, flagged ``normalized=False``."""
-    row = DisutilityVector.__new__(DisutilityVector)
-    row._fill_pairs(pairs, False, normalize=True)
-    return row
+    """The row of (numerator, denominator) pairs divided by its total, in
+    one gcd pass; a zero-total row is kept as it is, flagged
+    ``normalized=False``."""
+    ints, denom = _over_lcm(pairs)
+    if not (total := sum(ints)):
+        return DisutilityVector._of(ints, denom, False)
+    g = math.gcd(total, *ints)
+    if g != 1:
+        ints = [x // g for x in ints]
+    return DisutilityVector._of(ints, total // g, True)
 
 
 def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]]:
@@ -309,14 +315,13 @@ def order_vector(v: DisutilityVector) -> tuple[DisutilityVector, tuple[int, ...]
 
     ``perm[p]`` is the original index of the value at sorted position p.
     Ties keep original index order (stable).  Every constructor leaves a row
-    in lowest terms, and a permutation keeps them, so the sorted row takes
-    ``v.denom`` as it is, with no gcd pass; `_fill` still validates it.
+    in lowest terms, and a permutation keeps them, so the sorted row is made
+    by `DisutilityVector._of`, the constructor for such rows: it takes
+    ``v.denom`` as it is, with no gcd pass, and `_fill` still validates it.
     """
     ints = v.ints
     perm = tuple(sorted(range(v.m), key=ints.__getitem__, reverse=True))
-    ordered = DisutilityVector.__new__(DisutilityVector)
-    ordered._fill(tuple([ints[j] for j in perm]), v.denom, v.normalized)
-    return ordered, perm
+    return DisutilityVector._of([ints[j] for j in perm], v.denom, v.normalized), perm
 
 
 def _unit_alpha(alpha) -> tuple[int, int]:
@@ -417,7 +422,7 @@ def parse_instance_csv(text: str) -> Instance:
     reads from it stripped, so a repeated cell costs one dict lookup, with
     no strip, and a file of few distinct entries one `_ratio` per entry, not
     one per cell.  Each row is built from its pairs, normalised and
-    validated in one step (`_fill_pairs`).  Lines are read in order, a
+    validated in one step (`_normalized`).  Lines are read in order, a
     line's cells from left to right, and every error names the line it is
     found on: a bad cell raises where it first occurs and is never stored,
     so that is the first line that holds it.

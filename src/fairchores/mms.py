@@ -173,7 +173,12 @@ def _frame(items, n, best, assign, floor, failed, spent):
     `_sequential`.  It keeps only the key of its best partition and, above
     two bundles, the sub-call's split, and builds the assignment once, when
     it returns (`_assignment`); a frame that finds nothing better returns
-    the `assign` it was given.
+    the `assign` it was given.  No frame starts at or below its stop:
+    `_sequential` makes none when `best` is at its floor, which `_root` and
+    `fits_under` keep at or above the average, and a sub-call is made only
+    for a first bundle in the window below, which keeps both its load and
+    the rest's average below `best`.  (A `best` at or below the average
+    would meet an empty window and return as given.)
 
     Enumerates the bundle that holds items[0] from the half tables of
     items[1:], heaviest key first, keeping its sum within
@@ -215,8 +220,6 @@ def _frame(items, n, best, assign, floor, failed, spent):
     """
     m, total = len(items), sum(items)
     stop = max(-(-total // n), floor)
-    if best <= stop:
-        return best, assign
     h = (m + 1) // 2
     # the window on a + r, the keys of items[1:] in the first bundle:
     # low <= a + r < high compares sums, since disjoint masks add up to

@@ -229,9 +229,8 @@ def _witness(n: int, alpha, m: Optional[int], piece) -> WitnessInstance:
     # the row's gcd, so the row is built reduced, with no pass over it
     r = q - a * p
     g = math.gcd(q * b, p * b, r)
-    vec = DisutilityVector.__new__(DisutilityVector)
-    vec._fill(tuple([p * b // g] * a + [r // g] * b + [0] * (length - a - b)),
-              q * b // g, True)
+    vec = DisutilityVector._of([p * b // g] * a + [r // g] * b + [0] * (length - a - b),
+                               q * b // g, True)
     assert max(vec.ints) * q == p * vec.denom  # vec.alpha() == p/q
     return WitnessInstance(Instance((vec,)), F(num, den), tag)
 

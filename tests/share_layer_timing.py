@@ -33,7 +33,10 @@ gives for that grid, as `curve_csv_per_row`.
 `allocate` is timed per instance on the `allocate` workload's seed-1 pool
 (`perfbench.workloads.Allocate().items(1, 48)`: 4x175 and 12x90
 instances, alternating), each tree normalising the pool's rows itself, as
-`allocate_per_instance`.
+`allocate_per_instance`.  The two row builders that `allocate` reads are
+timed per row on the same pool: `normalize` on each instance's raw rows as
+`normalize_per_row`, and `order_vector` on each normalised row as
+`order_vector_per_row`.
 
 Every tree runs in one process: each tree's package is imported under a
 name of its own (`fairchores_tree0`, `fairchores_tree1`, ...), so several
@@ -106,7 +109,9 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
             for build in (shares.witness_upper, shares.witness_lower)]
     curves = [(experiments.curve_samples(n, points), n) for n in ns]
     workload = Allocate()
-    pool = [core.normalize(raw) for raw, _ in workload.items(1, workload.pool_size)]
+    raws = [raw for raw, _ in workload.items(1, workload.pool_size)]
+    pool = [core.normalize(raw) for raw in raws]
+    pool_rows = [row for inst in pool for row in inst.profile]
 
     def curve():
         for n in ns:
@@ -161,6 +166,14 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
         for inst in pool:
             allocator.allocate(inst)
 
+    def normalize():
+        for raw in raws:
+            core.normalize(raw)
+
+    def order():
+        for row in pool_rows:
+            core.order_vector(row)
+
     def reads(path):
         def run():
             for _ in range(READS):
@@ -186,6 +199,8 @@ def layers(package, ns: range, tmp: Path) -> dict[str, tuple]:
             "_upper_piece": (pieces(shares._upper_piece), len(queries)),
             "_lower_piece": (pieces(shares._lower_piece), len(queries)),
             "allocate_per_instance": (allocate, len(pool)),
+            "normalize_per_row": (normalize, len(pool_rows)),
+            "order_vector_per_row": (order, len(pool_rows)),
             **{name: (reads(path), READS) for name, path in files.items()}}
 
 
@@ -222,8 +237,8 @@ def main(argv=None) -> int:
     passes, max_n = QUICK if args.quick else (PASSES, MAX_N)
     trees = args.src or [SRC]
     print(json.dumps({
-        "unit": "microseconds; curve_samples per grid point, curve_csv per row, allocate "
-                "per instance, the rest per call",
+        "unit": "microseconds; curve_samples per grid point, curve_csv, normalize and "
+                "order_vector per row, allocate per instance, the rest per call",
         "grid": f"{GRID_POINTS} points j/{LATTICE} from random.Random('bounds:1'), n = 2..{max_n}; "
                 "below-top: its points below 2/(n+1)",
         "dense": f"{DENSE_POINTS} points j/{DENSE_POINTS + 1}, n in {list(DENSE_NS)}, "
@@ -234,7 +249,8 @@ def main(argv=None) -> int:
         "files": "read_instance_csv on perfbench.workloads.Cli(...).items(1, 9)'s three "
                  "instance files, file read included",
         "allocate": "allocate per instance on perfbench.workloads.Allocate().items(1, 48), "
-                    "normalised by each tree",
+                    "normalised by each tree; normalize and order_vector per row of "
+                    "that pool",
         "method": f"best of {passes} passes per tree, every tree imported side by side "
                   "in one process, each layer timed on the trees back to back in "
                   "alternating order",

@@ -390,6 +390,15 @@ class TestInputChecks:
                            "--m", "10000", "--count", "0", "--seed", "1")
         assert code == 0, err
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # not exit 1, which says that `verify` found a guarantee violation
+        def no_memory(*_):
+            raise MemoryError
+        monkeypatch.setattr("fairchores.cli.run_histogram", no_memory)
+        code, out, err = run(capsys, "experiment", "synthetic", "--n", "2",
+                             "--m", "10", "--count", "1", "--seed", "1")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
 
 class TestAtScale:
     def test_curve_at_points_cap(self, capsys, tmp_path):

@@ -290,13 +290,20 @@ def test_vector_checks_reject_bad_rows():
         DisutilityVector((F(1, 2), F(-1, 7), 2))
 
 
-def test_scaled_is_exact_over_least_common_denominator():
-    values = (F(1, 4), F(0), F(1, 6), F(1, 4), F(0), F(1, 3))
-    v = DisutilityVector(values, True)
-    ints, d = v.scaled()
-    assert d == 12 and ints == [3, 0, 2, 3, 0, 4]
-    assert all(F(ints[j], d) == values[j] for j in range(len(values)))
-    assert DisutilityVector((F(0), F(0))).scaled() == ([0, 0], 1)
+def test_of_takes_the_row_as_given_and_validates_it():
+    # `_of` runs no gcd pass, so a caller must give it lowest terms;
+    # `_of_view` reduces the same input, and both validate through `_fill`
+    with pytest.raises(ValidationError, match="^negative disutility entry$"):
+        DisutilityVector._of((2, -1), 1, False)
+    with pytest.raises(ValidationError, match="^normalized vector must sum to exactly 1$"):
+        DisutilityVector._of((1, 1), 3, True)
+    ints = (2, 4, 0, 6)
+    row = DisutilityVector._of(ints, 12, True)
+    assert row.ints is ints and (row.denom, row.normalized) == (12, True)
+    assert row.values == (F(1, 6), F(1, 3), F(0), F(1, 2))
+    reduced = DisutilityVector._of_view(ints, 12, True)
+    assert (reduced.ints, reduced.denom, reduced.normalized) == ((1, 2, 0, 3), 6, True)
+    assert reduced == DisutilityVector(row.values, True) != row
 
 
 def test_every_construction_path_gives_the_canonical_row():
@@ -318,7 +325,7 @@ def test_every_construction_path_gives_the_canonical_row():
     for row in rows:
         rebuilt = DisutilityVector(row.values, row.normalized)
         assert row == rebuilt and hash(row) == hash(rebuilt), row
-        ints, denom = row.scaled()
+        ints, denom = row.ints, row.denom
         assert [F(x, denom) for x in ints] == list(row.values), row
 
 

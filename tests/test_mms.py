@@ -778,7 +778,7 @@ class TestLowerBound:
         seen = set()
         for n, a, m in share_grid():
             for kind, make in (("upper", witness_upper), ("lower", witness_lower)):
-                ints, _ = make(n, a, m).vector.scaled()
+                ints = make(n, a, m).vector.ints
                 items = sorted((x for x in ints if x > 0), reverse=True)
                 seed, bound = _greedy_makespan(items, n)[0], _lower_bound(items, n)
                 if (n, a, m, kind) in searched:
